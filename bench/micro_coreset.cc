@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
   }
   const std::string plain_path =
       bench::OutputPath("micro_coreset_plain.model");
-  if (const Status saved = api::SaveModel(plain_path, *plain.value(), data);
+  if (const Status saved = api::SaveModel(plain_path, *plain.value(), data,
+                                          api::SaveOptions());
       !saved.ok()) {
     std::cerr << "save failed: " << saved.message() << "\n";
     return 1;
@@ -146,7 +147,8 @@ int main(int argc, char** argv) {
     const std::string path =
         bench::OutputPath("micro_coreset_compressed.model");
     if (const Status saved =
-            api::SaveModel(path, *compressed.value(), data);
+            api::SaveModel(path, *compressed.value(), data,
+                           api::SaveOptions());
         !saved.ok()) {
       std::cerr << "save failed at share " << share << ": "
                 << saved.message() << "\n";

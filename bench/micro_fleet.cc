@@ -486,7 +486,8 @@ int Run(const Args& args) {
   }
   const std::string model_path =
       bench::OutputPath("fleet_model." + std::to_string(getpid()) + ".tkdc");
-  if (const Status saved = api::SaveModel(model_path, *trained.value(), data);
+  if (const Status saved = api::SaveModel(model_path, *trained.value(), data,
+                                          api::SaveOptions());
       !saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.message().c_str());
     return 1;

@@ -27,7 +27,7 @@
 
 #include "common/timer.h"
 #include "data/generators.h"
-#include "serve/batcher.h"
+#include "serve/registry.h"
 #include "tkdc_api.h"
 
 namespace tkdc {
@@ -64,7 +64,16 @@ SweepPoint RunOne(const Args& args, uint64_t window_us,
   serve::BatcherOptions options;
   options.batch_window_us = window_us;
   options.max_batch = 256;
-  serve::MicroBatcher batcher(options, model, /*registry=*/nullptr);
+  // The model is the registry's default slot; the benchmark loads no files.
+  serve::ModelRegistry models(
+      serve::RegistryOptions(),
+      [](const std::string& path)
+          -> Result<std::shared_ptr<serve::ServingModel>> {
+        return Errorf() << "no model files in this benchmark: " << path;
+      },
+      nullptr);
+  models.Publish(serve::kDefaultModelId, model);
+  serve::MicroBatcher batcher(options, &models, /*metrics=*/nullptr);
   batcher.Start();
 
   std::vector<std::vector<double>> latencies_us(args.clients);

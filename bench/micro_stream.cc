@@ -28,7 +28,7 @@
 #include "common/timer.h"
 #include "data/generators.h"
 #include "kde/delta_overlay.h"
-#include "serve/batcher.h"
+#include "serve/registry.h"
 #include "tkdc/classifier.h"
 #include "tkdc/threshold.h"
 #include "tkdc_api.h"
@@ -119,7 +119,16 @@ SweepPoint RunOne(const Args& args, double fraction, const Dataset& base,
 
   serve::BatcherOptions batcher_options;
   batcher_options.batch_window_us = 100;
-  serve::MicroBatcher batcher(batcher_options, model, nullptr);
+  // The model is the registry's default slot; the benchmark loads no files.
+  serve::ModelRegistry models(
+      serve::RegistryOptions(),
+      [](const std::string& path)
+          -> Result<std::shared_ptr<serve::ServingModel>> {
+        return Errorf() << "no model files in this benchmark: " << path;
+      },
+      nullptr);
+  models.Publish(serve::kDefaultModelId, model);
+  serve::MicroBatcher batcher(batcher_options, &models, nullptr);
   batcher.Start();
 
   // Stage the overlay through the data plane (the estimator feed and the
@@ -189,7 +198,8 @@ SweepPoint RunOne(const Args& args, double fraction, const Dataset& base,
     auto fresh = MakeStreamingModel(rebuilt.take(), merged,
                                     /*overlay_capacity=*/1024);
     fresh->generation = model->generation + 1;
-    if (!batcher.PublishRebuild(fresh, /*model_id=*/"", snap.inserted, snap.tombstones)) {
+    if (!batcher.PublishRebuild(fresh, serve::kDefaultModelId, snap.inserted,
+                                snap.tombstones)) {
       std::fprintf(stderr, "rebuild publication failed\n");
       std::exit(1);
     }

@@ -55,20 +55,17 @@ void ServingModel::FlushMetrics() {
 }
 
 MicroBatcher::MicroBatcher(const BatcherOptions& options,
-                           std::shared_ptr<ServingModel> model,
-                           MetricsRegistry* registry)
-    : options_(options), registry_(registry), model_(std::move(model)) {
+                           ModelRegistry* models, MetricsRegistry* metrics)
+    : options_(options), models_(models), registry_(metrics) {
   TKDC_CHECK_MSG(options_.max_batch >= 1, "max_batch must be >= 1");
   TKDC_CHECK_MSG(options_.queue_depth >= 1, "queue_depth must be >= 1");
-  TKDC_CHECK(model_ != nullptr && (model_->classifier != nullptr ||
-                                   model_->mc_classifier != nullptr));
+  TKDC_CHECK(models_ != nullptr);
   if (registry_ != nullptr) {
     admitted_id_ = registry_->AddCounter(metric_names::kAdmitted);
     shed_id_ = registry_->AddCounter(metric_names::kShed);
     timed_out_id_ = registry_->AddCounter(metric_names::kTimedOut);
     completed_id_ = registry_->AddCounter(metric_names::kCompleted);
     batches_id_ = registry_->AddCounter(metric_names::kBatches);
-    reloads_id_ = registry_->AddCounter(metric_names::kReloads);
     overlay_inserts_id_ = registry_->AddCounter(metric_names::kOverlayInserts);
     overlay_deletes_id_ = registry_->AddCounter(metric_names::kOverlayDeletes);
     overlay_rejected_id_ =
@@ -95,9 +92,6 @@ void MicroBatcher::Start() {
 void MicroBatcher::Stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // Already stopping; fall through to join below (idempotent callers).
-    }
     stopping_ = true;
   }
   wake_cv_.notify_all();
@@ -143,19 +137,6 @@ bool MicroBatcher::Submit(Request request, Completion done) {
   return false;
 }
 
-void MicroBatcher::SwapModel(std::shared_ptr<ServingModel> model) {
-  TKDC_CHECK(model != nullptr && (model->classifier != nullptr ||
-                                  model->mc_classifier != nullptr));
-  std::lock_guard<std::mutex> lock(mutex_);
-  model_ = std::move(model);
-  if (shard_ != nullptr) shard_->Inc(reloads_id_);
-}
-
-void MicroBatcher::SetRegistry(ModelRegistry* registry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  model_registry_ = registry;
-}
-
 void MicroBatcher::SetRebuildRequestCallback(
     std::function<void(const std::string&)> callback) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -186,8 +167,7 @@ bool MicroBatcher::PublishRebuild(std::shared_ptr<ServingModel> model,
 }
 
 std::shared_ptr<ServingModel> MicroBatcher::model() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return model_;
+  return models_->Resident(kDefaultModelId);
 }
 
 MicroBatcher::Snapshot MicroBatcher::snapshot() {
@@ -213,16 +193,8 @@ void MicroBatcher::Loop() {
       // overlay is quiescent and its unconsumed suffix can migrate.
       RebuildPublication publication = std::move(*pending_rebuild_);
       pending_rebuild_.reset();
-      // The generation being replaced: the default model for scope-less
-      // rebuilds, the registry's resident slot for scoped ones.
-      std::shared_ptr<ServingModel> old_model;
-      if (publication.model_id.empty()) {
-        old_model = model_;
-      } else if (model_registry_ != nullptr) {
-        old_model = model_registry_->Resident(publication.model_id);
-      }
       lock.unlock();
-      InstallRebuild(std::move(publication), old_model);
+      InstallRebuild(std::move(publication));
       lock.lock();
       continue;
     }
@@ -260,40 +232,36 @@ void MicroBatcher::Loop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    const std::shared_ptr<ServingModel> model = model_;  // RCU snapshot.
     last_dispatch_ = Clock::now();
     lock.unlock();
-    ExecuteBatch(batch, model);
+    ExecuteBatch(batch);
     lock.lock();
     AbsorbShardLocked();
   }
 }
 
-void MicroBatcher::ApplyMutation(Pending& pending, ServingModel& model,
-                                 bool* rebuild_wanted) {
-  const uint64_t id = pending.request.id;
-  const std::span<const double> x = pending.request.point;
+Response MicroBatcher::ApplyMutation(const Request& request,
+                                     ServingModel& model,
+                                     bool* rebuild_wanted) {
+  const uint64_t id = request.id;
+  const std::span<const double> x = request.point;
   if (!model.streaming) {
-    pending.done(Response::Error(
-        id, "model does not support streaming (INSERT/DELETE)"));
-    return;
+    return Response::Error(id,
+                           "model does not support streaming (INSERT/DELETE)");
   }
   DeltaOverlay& overlay = *model.overlay;
-  const bool is_insert = pending.request.verb == RequestVerb::kInsert;
+  const bool is_insert = request.verb == RequestVerb::kInsert;
   if (!is_insert) {
     // DELETE validation: the point must currently be live, and removing it
     // must leave a model (>= 2 points keeps every engine's invariants).
     if (model.effective_n() <= 2) {
-      pending.done(Response::Error(
-          id, "refusing DELETE: model would fall below 2 points"));
-      return;
+      return Response::Error(
+          id, "refusing DELETE: model would fall below 2 points");
     }
     if (model.live_counts != nullptr) {
       const auto it = model.live_counts->find(PointKey(x));
       if (it == model.live_counts->end() || it->second <= 0) {
-        pending.done(
-            Response::Error(id, "DELETE of a point not in the model"));
-        return;
+        return Response::Error(id, "DELETE of a point not in the model");
       }
     }
   }
@@ -304,9 +272,8 @@ void MicroBatcher::ApplyMutation(Pending& pending, ServingModel& model,
       std::lock_guard<std::mutex> lock(mutex_);
       if (shard_ != nullptr) shard_->Inc(overlay_rejected_id_);
     }
-    pending.done(Response::Error(
-        id, "overlay full; retry after the rebuild (or FLUSH)"));
-    return;
+    return Response::Error(id,
+                           "overlay full; retry after the rebuild (or FLUSH)");
   }
   if (model.live_counts != nullptr) {
     (*model.live_counts)[PointKey(x)] += is_insert ? 1 : -1;
@@ -330,12 +297,15 @@ void MicroBatcher::ApplyMutation(Pending& pending, ServingModel& model,
       shard_->Inc(is_insert ? overlay_inserts_id_ : overlay_deletes_id_);
     }
   }
-  pending.done(Response::Ok(id, is_insert ? "INSERTED" : "DELETED"));
+  return Response::Ok(id, is_insert ? "INSERTED" : "DELETED");
 }
 
-void MicroBatcher::InstallRebuild(
-    RebuildPublication publication,
-    const std::shared_ptr<ServingModel>& old_model) {
+void MicroBatcher::InstallRebuild(RebuildPublication publication) {
+  // The generation being replaced. Publications are serialized by the
+  // caller and this thread is the only lazy loader, so it cannot change
+  // before the Publish below.
+  const std::shared_ptr<ServingModel> old_model =
+      models_->Resident(publication.model_id);
   ServingModel& fresh = *publication.model;
   // Migrate every overlay row the rebuild's snapshot did not consume:
   // mutations that raced the retrain survive into the new generation.
@@ -360,35 +330,28 @@ void MicroBatcher::InstallRebuild(
       if (fresh.live_counts != nullptr) --(*fresh.live_counts)[PointKey(row)];
     }
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (publication.model_id.empty()) {
-    model_ = std::move(publication.model);
-  } else if (model_registry_ != nullptr) {
-    const Status status = model_registry_->Publish(publication.model_id,
-                                                   std::move(publication.model));
-    if (!status.ok()) {
-      // The slot was UNLOADed while the rebuild trained; the fresh
-      // generation has no home and is simply dropped.
-      std::fprintf(stderr, "rebuild install for @%s dropped: %s\n",
-                   publication.model_id.c_str(), status.message().c_str());
-    }
+  const Status status =
+      models_->Publish(publication.model_id, std::move(publication.model));
+  if (!status.ok()) {
+    // The slot was UNLOADed while the rebuild trained; the fresh
+    // generation has no home and is simply dropped.
+    std::fprintf(stderr, "rebuild install for @%s dropped: %s\n",
+                 publication.model_id.c_str(), status.message().c_str());
   }
+  std::lock_guard<std::mutex> lock(mutex_);
   installed_ticket_ = publication.ticket;
   if (shard_ != nullptr) shard_->Inc(rebuilds_id_);
   install_cv_.notify_all();
 }
 
-void MicroBatcher::ExecuteBatch(
-    std::vector<Pending>& batch,
-    const std::shared_ptr<ServingModel>& default_model) {
+void MicroBatcher::ExecuteBatch(std::vector<Pending>& batch) {
   const Clock::time_point drained_at = Clock::now();
 
-  // Group by model scope in arrival order; "@default" is the scope-less
-  // slot. Group count is bounded by batch size, so linear lookup is fine.
+  // Group by model id in arrival order. Group count is bounded by batch
+  // size, so linear lookup is fine.
   std::vector<std::pair<std::string, std::vector<Pending*>>> groups;
   for (Pending& pending : batch) {
-    const std::string& raw = pending.request.model_id;
-    const std::string scope = raw == kDefaultModelId ? std::string() : raw;
+    const std::string_view scope = ModelIdOrDefault(pending.request.model_id);
     std::vector<Pending*>* group = nullptr;
     for (auto& [id, members] : groups) {
       if (id == scope) {
@@ -397,43 +360,34 @@ void MicroBatcher::ExecuteBatch(
       }
     }
     if (group == nullptr) {
-      groups.emplace_back(scope, std::vector<Pending*>());
+      groups.emplace_back(std::string(scope), std::vector<Pending*>());
       group = &groups.back().second;
     }
     group->push_back(&pending);
   }
 
-  size_t executed = 0;
+  std::vector<std::pair<Pending*, Response>> answers;
   size_t stale_queries = 0;
   std::vector<std::string> rebuild_ids;
   for (auto& [scope, group] : groups) {
-    std::shared_ptr<ServingModel> resolved;
-    if (scope.empty()) {
-      resolved = default_model;
-    } else if (model_registry_ == nullptr) {
+    // Resolve at drain time (the RCU snapshot): a cold slot lazy-loads
+    // once per batch, and a bad scope errors its own group without
+    // touching the others.
+    auto acquired = models_->Acquire(scope, group.size());
+    if (!acquired.ok()) {
       for (Pending* pending : group) {
-        pending->done(Response::Error(
-            pending->request.id,
-            "no model registry (start the server with --model-dir)"));
+        pending->done(Response::Error(pending->request.id,
+                                      acquired.status().message()));
       }
       continue;
-    } else {
-      // Resolve at drain time: a cold slot lazy-loads once per batch, and
-      // a bad scope errors its own group without touching the others.
-      auto acquired = model_registry_->Acquire(scope, group.size());
-      if (!acquired.ok()) {
-        for (Pending* pending : group) {
-          pending->done(Response::Error(pending->request.id,
-                                        acquired.status().message()));
-        }
-        continue;
-      }
-      resolved = acquired.take();
     }
-    executed += ExecuteGroup(group, *resolved, scope, drained_at, rebuild_ids,
-                             &stale_queries);
+    ExecuteGroup(group, *acquired.value(), scope, drained_at, answers,
+                 rebuild_ids, &stale_queries);
   }
 
+  // Book the batch before answering it: a STATS sent after a response
+  // then always counts that response.
+  const size_t executed = answers.size();
   std::function<void(const std::string&)> rebuild_cb;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -456,18 +410,18 @@ void MicroBatcher::ExecuteBatch(
     }
     if (!rebuild_ids.empty()) rebuild_cb = rebuild_request_cb_;
   }
+  for (auto& [pending, response] : answers) pending->done(response);
   // Fired outside the lock; the callback just flags the rebuild worker.
   if (rebuild_cb) {
     for (const std::string& id : rebuild_ids) rebuild_cb(id);
   }
 }
 
-size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
-                                  ServingModel& model,
-                                  const std::string& scope,
-                                  Clock::time_point drained_at,
-                                  std::vector<std::string>& rebuild_ids,
-                                  size_t* group_stale_queries) {
+void MicroBatcher::ExecuteGroup(
+    std::vector<Pending*>& group, ServingModel& model,
+    const std::string& scope, Clock::time_point drained_at,
+    std::vector<std::pair<Pending*, Response>>& answers,
+    std::vector<std::string>& rebuild_ids, size_t* group_stale_queries) {
   const bool multiclass = model.multiclass();
   const size_t dims = model.dims();
 
@@ -479,7 +433,6 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
   // order, so every query in this batch folds a single quiescent overlay
   // state that includes them.
   std::vector<Pending*> classify, classify_training, estimate, classify_mc;
-  size_t executed = 0;
   bool rebuild_wanted = false;
   for (Pending* pending_ptr : group) {
     Pending& pending = *pending_ptr;
@@ -531,10 +484,10 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
         break;
       case RequestVerb::kInsert:
       case RequestVerb::kDelete:
-        // Multi-class generations never stream; ApplyMutation answers the
+        // Multi-class generations never stream; ApplyMutation returns the
         // not-streaming error for them.
-        ApplyMutation(pending, model, &rebuild_wanted);
-        ++executed;
+        answers.emplace_back(
+            &pending, ApplyMutation(pending.request, model, &rebuild_wanted));
         break;
       default:
         // Control verbs are handled at the session layer and never
@@ -566,11 +519,11 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
             : training ? classifier.ClassifyTrainingBatch(queries)
                        : classifier.ClassifyBatch(queries);
     for (size_t i = 0; i < group.size(); ++i) {
-      group[i]->done(Response::Ok(
-          group[i]->request.id,
-          labels[i] == Classification::kHigh ? "HIGH" : "LOW"));
+      answers.emplace_back(
+          group[i],
+          Response::Ok(group[i]->request.id,
+                       labels[i] == Classification::kHigh ? "HIGH" : "LOW"));
     }
-    executed += group.size();
     if (use_overlay) stale_queries += group.size();
   };
   run_classify_group(classify, /*training=*/false);
@@ -584,10 +537,10 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
     }
     const std::vector<uint32_t> labels = mc.ClassifyBatch(queries);
     for (size_t i = 0; i < classify_mc.size(); ++i) {
-      classify_mc[i]->done(Response::Ok(classify_mc[i]->request.id,
+      answers.emplace_back(classify_mc[i],
+                           Response::Ok(classify_mc[i]->request.id,
                                         mc.class_labels()[labels[i]]));
     }
-    executed += classify_mc.size();
   }
   for (Pending* pending : estimate) {
     DensityClassifier& classifier = *model.classifier;
@@ -596,9 +549,8 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
             ? classifier.EstimateDensityWithOverlay(pending->request.point,
                                                     *model.overlay)
             : classifier.EstimateDensity(pending->request.point);
-    pending->done(
-        Response::Ok(pending->request.id, FormatDensity(density)));
-    ++executed;
+    answers.emplace_back(
+        pending, Response::Ok(pending->request.id, FormatDensity(density)));
     if (use_overlay) ++stale_queries;
   }
   model.FlushMetrics();  // Query-path shard → registry (no-op if
@@ -606,7 +558,6 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
 
   *group_stale_queries += stale_queries;
   if (rebuild_wanted) rebuild_ids.push_back(scope);
-  return executed;
 }
 
 }  // namespace tkdc::serve

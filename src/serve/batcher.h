@@ -24,8 +24,8 @@
 namespace tkdc::serve {
 
 /// One published model generation: the trained classifier plus where it
-/// came from. Reload builds a fresh ServingModel and swaps the shared_ptr
-/// (RCU-style): batches in flight keep their generation alive through
+/// came from. Reload builds a fresh ServingModel and publishes it into its
+/// ModelRegistry slot, which swaps the shared_ptr (RCU-style): batches in flight keep their generation alive through
 /// their own reference; the old model is destroyed when its last batch
 /// finishes. The classifier inside is driven only by the dispatcher
 /// thread (its facade is externally single-threaded); parallelism lives
@@ -133,7 +133,8 @@ inline constexpr char kRebuilds[] = "serve.model_rebuilds";
 class ModelRegistry;  // serve/registry.h; it includes this header.
 
 /// Dynamic micro-batcher: coalesces concurrently arriving classify /
-/// estimate requests into batch calls against the current model.
+/// estimate requests into batch calls against the current generation of
+/// each addressed model.
 ///
 /// Life of a request: Submit() (any thread) either enqueues it — bounded
 /// queue, excess shed with OVERLOADED — or rejects it; the dispatcher
@@ -150,23 +151,20 @@ class ModelRegistry;  // serve/registry.h; it includes this header.
 /// Stop() drains: no new admissions, every queued request still executes,
 /// then the dispatcher joins — the graceful-SIGTERM contract.
 ///
-/// Multi-model serving: each drained batch is grouped by Request.model_id.
-/// The scope-less group runs against the default model snapshot; scoped
-/// groups resolve through the attached ModelRegistry at drain time (so a
-/// cold slot lazy-loads at most once per batch, not per request). Scoped
-/// requests without a registry, or naming unknown slots, are answered ERR
+/// Models: each drained batch is grouped by model id (scope-less requests
+/// join the kDefaultModelId group) and every group resolves through the
+/// ModelRegistry at drain time, so a cold slot lazy-loads at most once per
+/// batch, not per request. Requests naming unknown slots are answered ERR
 /// individually — a bad scope never poisons the rest of the batch.
 class MicroBatcher {
  public:
   using Completion = std::function<void(const Response&)>;
 
-  /// `registry` (borrowed, must outlive the batcher) receives the serve
-  /// counters/histograms; the full serve schema is registered before any
-  /// shard is created, so callers must finish registering *their* metrics
-  /// (e.g. AttachMetrics on the classifier) before constructing the
-  /// batcher.
-  MicroBatcher(const BatcherOptions& options,
-               std::shared_ptr<ServingModel> model, MetricsRegistry* registry);
+  /// `models` (borrowed, non-null, must outlive the batcher) owns every
+  /// served generation, the default one included. `metrics` (borrowed,
+  /// may be null) receives the serve counters/histograms.
+  MicroBatcher(const BatcherOptions& options, ModelRegistry* models,
+               MetricsRegistry* metrics);
   ~MicroBatcher();
 
   MicroBatcher(const MicroBatcher&) = delete;
@@ -185,32 +183,21 @@ class MicroBatcher {
   /// dispatcher thread. Thread-safe.
   bool Submit(Request request, Completion done);
 
-  /// Publishes a new model generation (RCU-style). In-flight batches keep
-  /// the old generation alive; queued requests not yet drained execute
-  /// against the new one. Thread-safe.
-  void SwapModel(std::shared_ptr<ServingModel> model);
-
-  /// Attaches the model registry scoped requests resolve through (null =
-  /// scoped requests answered ERR). Borrowed; must outlive the batcher.
-  /// Call before Start().
-  void SetRegistry(ModelRegistry* registry);
-
-  /// Publishes a *rebuilt* streaming generation for `model_id` ("" = the
-  /// default model). Unlike SwapModel, the install happens on the
-  /// dispatcher thread between batches: the dispatcher migrates every
+  /// Publishes a *rebuilt* streaming generation into the registry slot
+  /// `model_id`. Unlike a plain registry publication, the install happens
+  /// on the dispatcher thread between batches: the dispatcher migrates every
   /// overlay row the rebuild did NOT consume (inserted rows >=
   /// consumed_inserted, tombstones >= consumed_tombstones in the old
   /// overlay) into the new model's fresh overlay, so mutations that raced
   /// the rebuild survive the swap and zero requests are dropped or
-  /// answered against missing state. Scoped installs publish into the
-  /// registry slot instead of the default generation. Blocks until the
+  /// answered against missing state. Blocks until the
   /// install completes (or the batcher is stopping — returns false then).
   /// Thread-safe; callers serialize rebuilds among themselves.
   bool PublishRebuild(std::shared_ptr<ServingModel> model,
                       const std::string& model_id, size_t consumed_inserted,
                       size_t consumed_tombstones);
 
-  /// Asks the server to rebuild the named model ("" = default): invoked
+  /// Asks the server to rebuild the named model: invoked
   /// (without the queue lock, on the dispatcher thread) when a streaming
   /// model's overlay reaches its rebuild trigger or rejects a mutation
   /// for want of capacity. The callback must not block; it flags a worker
@@ -218,8 +205,7 @@ class MicroBatcher {
   void SetRebuildRequestCallback(
       std::function<void(const std::string&)> callback);
 
-  /// Current model generation (for control-plane peeks, e.g. RELOAD
-  /// resolving the default path).
+  /// Current generation of the default slot (control-plane peeks).
   std::shared_ptr<ServingModel> model() const;
 
   /// Exact point-in-time totals (under the queue lock); also folds the
@@ -246,46 +232,47 @@ class MicroBatcher {
 
   struct RebuildPublication {
     std::shared_ptr<ServingModel> model;
-    std::string model_id;  // "" = the default model.
+    std::string model_id;
     size_t consumed_inserted = 0;
     size_t consumed_tombstones = 0;
     uint64_t ticket = 0;
   };
 
   void Loop();
-  /// Groups `batch` by model scope, resolves each group's model, and runs
-  /// the groups. `default_model` is the drain-time snapshot.
-  void ExecuteBatch(std::vector<Pending>& batch,
-                    const std::shared_ptr<ServingModel>& default_model);
-  /// Runs one model's share of a batch. Returns the executed count and
-  /// appends scopes wanting a rebuild to `rebuild_ids`.
-  size_t ExecuteGroup(std::vector<Pending*>& group, ServingModel& model,
-                      const std::string& scope, Clock::time_point drained_at,
-                      std::vector<std::string>& rebuild_ids,
-                      size_t* stale_queries);
-  /// Applies one INSERT/DELETE to `model` and answers it. Dispatcher
-  /// thread; mutation-quiescence is upheld because no queries run
-  /// concurrently with this.
-  void ApplyMutation(Pending& pending, ServingModel& model,
-                     bool* rebuild_wanted);
-  /// Migrates the unconsumed overlay suffix and installs `publication`.
-  /// Dispatcher thread, called without the lock held.
-  void InstallRebuild(RebuildPublication publication,
-                      const std::shared_ptr<ServingModel>& old_model);
+  /// Groups `batch` by model id, resolves each group's model, and runs
+  /// the groups.
+  void ExecuteBatch(std::vector<Pending>& batch);
+  /// Runs one model's share of a batch. Requests that fail before
+  /// execution (deadline, dims, model kind) are answered at once; the
+  /// executed ones are appended to `answers` for the caller to answer
+  /// after booking them. Appends the model id to `rebuild_ids` when it
+  /// wants a rebuild.
+  void ExecuteGroup(std::vector<Pending*>& group, ServingModel& model,
+                    const std::string& scope, Clock::time_point drained_at,
+                    std::vector<std::pair<Pending*, Response>>& answers,
+                    std::vector<std::string>& rebuild_ids,
+                    size_t* stale_queries);
+  /// Applies one INSERT/DELETE to `model` and returns its response.
+  /// Dispatcher thread; mutation-quiescence is upheld because no queries
+  /// run concurrently with this.
+  Response ApplyMutation(const Request& request, ServingModel& model,
+                         bool* rebuild_wanted);
+  /// Migrates the unconsumed overlay suffix of the slot's current
+  /// generation and installs `publication`. Dispatcher thread, called
+  /// without the lock held.
+  void InstallRebuild(RebuildPublication publication);
   /// Folds the shard into the registry and zeroes it. Caller holds mutex_.
   void AbsorbShardLocked();
 
   const BatcherOptions options_;
+  ModelRegistry* const models_;
   MetricsRegistry* const registry_;
-  /// Scoped-request resolver; null = single-model serving.
-  ModelRegistry* model_registry_ = nullptr;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_cv_;
   /// Signals rebuild installs to PublishRebuild waiters.
   std::condition_variable install_cv_;
   std::deque<Pending> queue_;
-  std::shared_ptr<ServingModel> model_;
   /// Rebuild handed over by PublishRebuild, awaiting dispatcher install.
   std::optional<RebuildPublication> pending_rebuild_;
   uint64_t rebuild_tickets_ = 0;
@@ -303,7 +290,7 @@ class MicroBatcher {
 
   // Metric ids into shard_.
   size_t admitted_id_ = 0, shed_id_ = 0, timed_out_id_ = 0, completed_id_ = 0,
-         batches_id_ = 0, reloads_id_ = 0;
+         batches_id_ = 0;
   size_t overlay_inserts_id_ = 0, overlay_deletes_id_ = 0,
          overlay_rejected_id_ = 0, stale_queries_id_ = 0, rebuilds_id_ = 0;
   size_t batch_size_id_ = 0, queue_wait_us_id_ = 0;

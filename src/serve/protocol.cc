@@ -1,19 +1,26 @@
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <list>
+#include <system_error>
+#include <thread>
 
 namespace tkdc::serve {
 namespace {
 
-/// Poll interval for blocking reads: the latency bound on noticing a
-/// shutdown/reload flag while a connection is idle.
+/// Poll interval for blocking reads and accepts: the latency bound on
+/// noticing a shutdown/reload flag while a connection or listener is idle.
 constexpr int kPollIntervalMs = 50;
 
 std::vector<std::string_view> SplitTokens(std::string_view payload) {
@@ -366,6 +373,95 @@ void FrameWriter::WriteRaw(std::string_view payload) {
 bool FrameWriter::broken() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return broken_;
+}
+
+std::shared_ptr<FrameWriter> ServeFrames(
+    int in_fd, int out_fd, Framing framing, const std::function<bool()>& stop,
+    const std::function<void(std::string_view,
+                             const std::shared_ptr<FrameWriter>&)>& handle) {
+  FrameReader reader(in_fd, framing);
+  auto writer =
+      std::make_shared<FrameWriter>(out_fd, framing, /*owns_fd=*/in_fd == out_fd);
+  while (true) {
+    auto frame = reader.Next(stop);
+    if (!frame.ok()) {
+      // Broken framing: tell the peer (best effort) and drop the
+      // connection; the process itself keeps serving.
+      writer->Write(Response::Error(0, frame.message()));
+      break;
+    }
+    if (!frame.value().has_value()) break;  // EOF or shutdown.
+    handle(*frame.value(), writer);
+  }
+  return writer;
+}
+
+int RunAcceptLoop(uint16_t port, std::ostream& announce,
+                  const std::function<bool()>& stop,
+                  const std::function<void(int)>& session) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listener < 0) {
+    std::fprintf(stderr, "socket failed: %s\n", std::strerror(errno));
+    return 1;
+  }
+  const int enable = 1;
+  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
+      ::listen(listener, 64) < 0) {
+    std::fprintf(stderr, "bind/listen failed: %s\n", std::strerror(errno));
+    ::close(listener);
+    return 1;
+  }
+  socklen_t addr_len = sizeof(addr);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+  announce << "listening on 127.0.0.1:" << ntohs(addr.sin_port) << "\n"
+           << std::flush;
+
+  // A session flags `done` as its last act; list nodes never move, so the
+  // thread can hold a reference to its own flag.
+  struct Session {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Session> sessions;
+  while (!stop()) {
+    sessions.remove_if([](Session& s) {
+      if (!s.done.load(std::memory_order_acquire)) return false;
+      s.thread.join();
+      return true;
+    });
+    struct pollfd pfd;
+    pfd.fd = listener;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    const int ready = ::poll(&pfd, 1, kPollIntervalMs);
+    if (ready < 0 && errno != EINTR) {
+      std::fprintf(stderr, "poll failed: %s\n", std::strerror(errno));
+      break;
+    }
+    if (ready <= 0) continue;
+    const int conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) continue;
+    Session& s = sessions.emplace_back();
+    try {
+      s.thread = std::thread([&session, &s, conn] {
+        session(conn);
+        s.done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error& error) {
+      // Out of threads: refuse this connection, keep serving the rest.
+      std::fprintf(stderr, "dropping connection: %s\n", error.what());
+      ::close(conn);
+      sessions.pop_back();
+    }
+  }
+  ::close(listener);
+  for (Session& s : sessions) s.thread.join();
+  return 0;
 }
 
 }  // namespace tkdc::serve

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +76,17 @@ namespace tkdc::serve {
 ///   <id> TIMEOUT           deadline expired before execution
 /// Unparseable requests are answered with the leading id token when it
 /// parses (e.g. a known id with an unknown verb) and id 0 otherwise.
+/// Reserved id of the default model (the --model flag): the slot that
+/// scope-less requests address and `@default` names explicitly.
+inline constexpr char kDefaultModelId[] = "default";
+
+/// The model id a request scope addresses: the scope itself, or
+/// kDefaultModelId when the request carried none. The one place where
+/// scope-less and `@default` requests become the same id.
+inline std::string_view ModelIdOrDefault(std::string_view scope) {
+  return scope.empty() ? std::string_view(kDefaultModelId) : scope;
+}
+
 enum class RequestVerb {
   kClassify,
   kClassifyTraining,
@@ -98,7 +111,8 @@ struct Request {
   /// Model path override; RELOAD (empty = reload the slot's path) and
   /// LOAD (required) only.
   std::string path;
-  /// Target model id (`@<id>` scope); empty = the default model.
+  /// Target model id (`@<id>` scope); empty = the default model (see
+  /// ModelIdOrDefault).
   std::string model_id;
   /// Per-request deadline override in ms; -1 = server default, 0 = none.
   int64_t timeout_ms = -1;
@@ -213,6 +227,29 @@ class FrameWriter {
   bool owns_fd_;
   bool broken_ = false;
 };
+
+/// One connection's read loop, shared by the server and the router: reads
+/// frames from `in_fd` and hands each payload to `handle` together with
+/// the connection's writer (on `out_fd`, which it closes when in_fd ==
+/// out_fd), until EOF, `stop`, or a framing error (answered with an id-0
+/// ERR, then the connection is dropped). Returns the writer; requests
+/// still in flight may hold it past the loop.
+std::shared_ptr<FrameWriter> ServeFrames(
+    int in_fd, int out_fd, Framing framing, const std::function<bool()>& stop,
+    const std::function<void(std::string_view,
+                             const std::shared_ptr<FrameWriter>&)>& handle);
+
+/// One TCP accept loop, shared by the server and the router: listens on
+/// 127.0.0.1:`port` (0 = ephemeral), announces "listening on
+/// 127.0.0.1:<port>" on `announce`, and runs `session(fd)` on a thread of
+/// its own for every accepted connection until `stop` returns true
+/// (checked every ~50 ms poll tick). Finished sessions are joined on every
+/// tick, so threads and their stacks are bounded by live connections, not
+/// by lifetime ones. Joins the remaining sessions before returning.
+/// Returns 0, or 1 when the listening socket cannot be set up.
+int RunAcceptLoop(uint16_t port, std::ostream& announce,
+                  const std::function<bool()>& stop,
+                  const std::function<void(int)>& session);
 
 }  // namespace tkdc::serve
 

@@ -18,6 +18,13 @@ constexpr size_t kModelOverheadBytes = 64 * 1024;
 /// Model files are "<id>.tkdc"; the stem is the wire id.
 constexpr char kModelSuffix[] = ".tkdc";
 
+/// The default slot first, then id order.
+bool DefaultFirst(const std::string& a, const std::string& b) {
+  const bool a_default = a == kDefaultModelId;
+  const bool b_default = b == kDefaultModelId;
+  return a_default != b_default ? a_default : a < b;
+}
+
 }  // namespace
 
 std::string ModelMetricName(const std::string& id, const char* suffix) {
@@ -52,9 +59,16 @@ ModelRegistry::ModelRegistry(RegistryOptions options, Loader loader,
   TKDC_CHECK_MSG(loader_ != nullptr, "ModelRegistry needs a loader");
 }
 
-void ModelRegistry::RegisterSlotMetricsLocked(const std::string& id,
-                                              Slot& slot) {
-  if (metrics_ == nullptr) return;
+ModelRegistry::Slot& ModelRegistry::AddSlotLocked(const std::string& id,
+                                                  std::string path) {
+  Slot& slot = slots_[id];
+  slot.path = std::move(path);
+  slot.lru_pos = lru_.end();
+  if (metrics_ == nullptr) return slot;
+  // Registered with the first slot, not at construction: a server's query
+  // schema must be the first one its metrics registry holds, and that
+  // schema arrives with the first model load.
+  reloads_id_ = metrics_->AddCounter(metric_names::kReloads);
   slot.requests_id = metrics_->AddCounter(
       ModelMetricName(id, model_metric_names::kRequests));
   slot.loads_id =
@@ -65,6 +79,7 @@ void ModelRegistry::RegisterSlotMetricsLocked(const std::string& id,
       ModelMetricName(id, model_metric_names::kReloads));
   // The schema grew: the previous shard no longer spans it.
   shard_ = metrics_->NewShard();
+  return slot;
 }
 
 void ModelRegistry::IncLocked(size_t metric_id, uint64_t count) {
@@ -104,14 +119,9 @@ Status ModelRegistry::ScanModelDir(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const std::string& id : ids) {
     if (slots_.count(id) != 0) continue;  // LOAD beat the scan; keep it.
-    Slot slot;
-    slot.path = prefix + id + kModelSuffix;
-    slot.lru_pos = lru_.end();
-    RegisterSlotMetricsLocked(id, slot);
-    auto [it, inserted] = slots_.emplace(id, std::move(slot));
+    Slot& slot = AddSlotLocked(id, prefix + id + kModelSuffix);
     if (options_.preload) {
-      if (const Status status = LoadSlotLocked(id, it->second);
-          !status.ok()) {
+      if (const Status status = LoadSlotLocked(id, slot); !status.ok()) {
         return Errorf() << "preload of " << id << " failed: "
                         << status.message();
       }
@@ -128,23 +138,46 @@ Status ModelRegistry::Load(const std::string& id, const std::string& path) {
   if (id == kDefaultModelId) {
     return Errorf() << "\"default\" is the --model slot; use RELOAD";
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (slots_.count(id) != 0) {
+  const auto already = [&id]() -> Status {
     return Errorf() << "model \"" << id
                     << "\" is already registered; use RELOAD @" << id;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (slots_.count(id) != 0) return already();
   }
-  Slot slot;
-  slot.path = path;
-  slot.lru_pos = lru_.end();
-  RegisterSlotMetricsLocked(id, slot);
-  auto [it, inserted] = slots_.emplace(id, std::move(slot));
-  const Status status = LoadSlotLocked(id, it->second);
-  if (!status.ok()) {
-    // A LOAD that cannot load registers nothing: drop the slot so a
-    // corrected retry is not forced through RELOAD.
-    slots_.erase(it);
-    return status;
+  // Deserialize without the mutex (every batch resolves through it), then
+  // publish. A LOAD that cannot load registers nothing, so a corrected
+  // retry is not forced through RELOAD.
+  auto loaded = loader_(path);
+  if (!loaded.ok()) return loaded.status();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (slots_.count(id) != 0) return already();  // A racing LOAD won.
+  Slot& slot = AddSlotLocked(id, path);
+  InstallLocked(id, slot, loaded.take());
+  IncLocked(slot.loads_id, 1);
+  return Status::Ok();
+}
+
+Status ModelRegistry::Reload(const std::string& id, const std::string& path) {
+  const auto unknown = [&id]() -> Status {
+    return Errorf() << "unknown model \"" << id << "\"";
+  };
+  std::string effective = path;
+  if (effective.empty()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slots_.find(id);
+    if (it == slots_.end()) return unknown();
+    effective = it->second.path;
   }
+  auto loaded = loader_(effective);
+  if (!loaded.ok()) return loaded.status();
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = slots_.find(id);
+  if (it == slots_.end()) return unknown();  // UNLOADed while loading.
+  InstallLocked(id, it->second, loaded.take());
+  IncLocked(it->second.reloads_id, 1);
+  IncLocked(reloads_id_, 1);
   return Status::Ok();
 }
 
@@ -198,22 +231,15 @@ Status ModelRegistry::Publish(const std::string& id,
                               std::shared_ptr<ServingModel> model) {
   TKDC_CHECK(model != nullptr);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = slots_.find(id);
+  auto it = slots_.find(id);
   if (it == slots_.end()) {
-    return Errorf() << "unknown model \"" << id << "\"";
+    if (id != kDefaultModelId) {
+      return Errorf() << "unknown model \"" << id << "\"";
+    }
+    AddSlotLocked(id, model->source_path);
+    it = slots_.find(id);
   }
-  Slot& slot = it->second;
-  if (slot.model != nullptr) {
-    resident_bytes_ -= slot.approx_bytes;
-  } else {
-    slot.lru_pos = lru_.insert(lru_.end(), id);
-  }
-  slot.model = std::move(model);
-  slot.approx_bytes = ApproxModelBytes(*slot.model);
-  resident_bytes_ += slot.approx_bytes;
-  TouchLocked(id, slot);
-  IncLocked(slot.reloads_id, 1);
-  EvictOverBudgetLocked(id);
+  InstallLocked(id, it->second, std::move(model));
   return Status::Ok();
 }
 
@@ -231,7 +257,9 @@ std::vector<ModelRegistry::Entry> ModelRegistry::List() const {
     entries.push_back(std::move(entry));
   }
   std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.id < b.id; });
+            [](const Entry& a, const Entry& b) {
+              return DefaultFirst(a.id, b.id);
+            });
   return entries;
 }
 
@@ -241,7 +269,7 @@ std::vector<std::string> ModelRegistry::ResidentIds() const {
   for (const auto& [id, slot] : slots_) {
     if (slot.model != nullptr) ids.push_back(id);
   }
-  std::sort(ids.begin(), ids.end());
+  std::sort(ids.begin(), ids.end(), DefaultFirst);
   return ids;
 }
 
@@ -258,17 +286,26 @@ size_t ModelRegistry::slot_count() const {
 Status ModelRegistry::LoadSlotLocked(const std::string& id, Slot& slot) {
   auto loaded = loader_(slot.path);
   if (!loaded.ok()) return loaded.status();
-  slot.model = loaded.take();
-  slot.approx_bytes = ApproxModelBytes(*slot.model);
-  slot.lru_pos = lru_.insert(lru_.end(), id);
-  resident_bytes_ += slot.approx_bytes;
+  InstallLocked(id, slot, loaded.take());
   IncLocked(slot.loads_id, 1);
-  EvictOverBudgetLocked(id);
   return Status::Ok();
 }
 
+void ModelRegistry::InstallLocked(const std::string& id, Slot& slot,
+                                  std::shared_ptr<ServingModel> model) {
+  const bool pinned = id == kDefaultModelId;
+  if (slot.model != nullptr && !pinned) resident_bytes_ -= slot.approx_bytes;
+  slot.model = std::move(model);
+  slot.approx_bytes = ApproxModelBytes(*slot.model);
+  if (pinned) return;  // Never budgeted, never evicted.
+  resident_bytes_ += slot.approx_bytes;
+  TouchLocked(id, slot);
+  EvictOverBudgetLocked(id);
+}
+
 void ModelRegistry::TouchLocked(const std::string& id, Slot& slot) {
-  lru_.erase(slot.lru_pos);
+  if (id == kDefaultModelId) return;  // Pinned: not in the LRU order.
+  if (slot.lru_pos != lru_.end()) lru_.erase(slot.lru_pos);
   slot.lru_pos = lru_.insert(lru_.end(), id);
 }
 

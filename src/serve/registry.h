@@ -16,12 +16,6 @@
 
 namespace tkdc::serve {
 
-/// Reserved id of the process's default model (the --model flag). The
-/// default generation lives in the micro-batcher, not in the registry;
-/// scope-less requests and `@default` both resolve to it there. The
-/// registry refuses the id so the two ownership domains never overlap.
-inline constexpr char kDefaultModelId[] = "default";
-
 /// Name of a per-model metric: "serve.model.<id>.<suffix>".
 std::string ModelMetricName(const std::string& id, const char* suffix);
 
@@ -45,14 +39,21 @@ struct RegistryOptions {
 };
 
 /// In-process model registry: named slots keyed by model id, each holding
-/// its own shared_ptr<ServingModel> with independent RCU hot-reload.
+/// its own shared_ptr<ServingModel> with independent RCU hot-reload. It is
+/// the only owner of served models: the default model (kDefaultModelId,
+/// the --model flag) is a slot like any other, resolved through Acquire
+/// by every batch.
 ///
 /// A slot is (id, source path, optionally a resident generation). Slots
-/// come from a --model-dir scan (every "<id>.tkdc" stem) or the LOAD
-/// verb; Acquire() resolves an id to its resident generation, lazily
-/// loading it through the injected Loader on first use. Publication is
-/// RCU-style throughout: swapping or evicting a slot's shared_ptr never
-/// invalidates the generations in-flight batches still reference.
+/// come from a --model-dir scan (every "<id>.tkdc" stem), the LOAD verb,
+/// or — for the default slot only — its first Publish; Acquire() resolves
+/// an id to its resident generation, lazily loading it through the
+/// injected Loader on first use. Publication is RCU-style throughout:
+/// swapping or evicting a slot's shared_ptr never invalidates the
+/// generations in-flight batches still reference.
+///
+/// The default slot is pinned: LOAD/UNLOAD refuse its id, eviction never
+/// touches it, and it stays out of the LRU order and resident_bytes().
 ///
 /// Eviction: when `max_resident_bytes` is set, every load re-checks the
 /// resident estimate and drops least-recently-used generations (clean
@@ -63,12 +64,14 @@ struct RegistryOptions {
 /// Metrics: each slot registers serve.model.<id>.{requests,loads,
 /// evictions,reloads} in the process registry at registration time —
 /// late, append-only registration per the metrics contract, so slots can
-/// appear (LOAD) long after serving started.
+/// appear (LOAD) long after serving started. Every Reload also books the
+/// process-wide serve.model_reloads.
 ///
-/// Thread safety: every method is mutex-guarded. Lazy loads run under the
-/// mutex, so a cold Acquire (one file read + model deserialize) briefly
-/// blocks other registry lookups — never the default-model data plane,
-/// which does not touch the registry.
+/// Thread safety: every method is mutex-guarded. LOAD and RELOAD
+/// deserialize outside the mutex and then publish, so they never stall
+/// the batches resolving through it. A cold Acquire (lazy load) runs
+/// under the mutex; it is issued by the dispatcher, which would wait for
+/// that load anyway.
 class ModelRegistry {
  public:
   /// Builds a ServingModel from a model file. The server's loader injects
@@ -83,15 +86,21 @@ class ModelRegistry {
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   /// Registers every "<id>.tkdc" file directly under `dir` as a slot
-  /// (stem = id; invalid stems and the reserved "default" are skipped
-  /// with a note on stderr). With options.preload the models load now,
+  /// (stem = id; invalid stems and the pinned "default" are skipped with a
+  /// note on stderr). With options.preload the models load now,
   /// eviction policy applied as they do; otherwise on first Acquire.
   Status ScanModelDir(const std::string& dir);
 
   /// Registers and loads a new slot (the LOAD verb). Errors if the id is
-  /// invalid, reserved, or already registered (use RELOAD to refresh an
-  /// existing slot).
+  /// invalid, the default, or already registered (use RELOAD to refresh
+  /// an existing slot).
   Status Load(const std::string& id, const std::string& path);
+
+  /// Loads `path` (empty = the slot's registered path) and publishes it
+  /// into the existing slot `id` (the RELOAD verb). A path override does
+  /// not change what the slot reloads from next time. Errors on unknown
+  /// ids and failed loads; the old generation keeps serving then.
+  Status Reload(const std::string& id, const std::string& path);
 
   /// Drops a slot entirely (the UNLOAD verb): its generation, its LRU
   /// entry, and its registration. In-flight batches keep the dropped
@@ -109,9 +118,11 @@ class ModelRegistry {
   /// target live state only.
   std::shared_ptr<ServingModel> Resident(const std::string& id) const;
 
-  /// Publishes a fresh generation into an existing slot (scoped RELOAD,
-  /// scoped rebuild install). RCU: the previous generation stays alive
-  /// through in-flight references. Errors on unknown ids.
+  /// Publishes a fresh generation into an existing slot (streaming
+  /// rebuild installs). RCU: the previous generation stays alive through
+  /// in-flight references. Errors on unknown ids, except the default id,
+  /// whose first publication (the startup model) registers the pinned
+  /// slot with the model's source path.
   Status Publish(const std::string& id, std::shared_ptr<ServingModel> model);
 
   struct Entry {
@@ -123,14 +134,14 @@ class ModelRegistry {
     /// Resident-byte estimate; 0 when not resident.
     size_t approx_bytes = 0;
   };
-  /// Every slot in id order (the MODELS verb; the default model is the
-  /// server's to report).
+  /// Every slot, the default first and the rest in id order (MODELS).
   std::vector<Entry> List() const;
 
-  /// Ids of the currently resident models, in id order (STATS blocks).
+  /// Ids of the resident models, ordered as List() (STATS blocks).
   std::vector<std::string> ResidentIds() const;
 
-  /// Current resident-set byte estimate.
+  /// Resident-set byte estimate of the evictable slots (the default slot
+  /// is not counted).
   size_t resident_bytes() const;
 
   size_t slot_count() const;
@@ -146,16 +157,21 @@ class ModelRegistry {
     size_t requests_id = 0, loads_id = 0, evictions_id = 0, reloads_id = 0;
   };
 
-  /// Registers the slot's metric names and refreshes the shard (the
-  /// schema grew, so the old shard no longer spans it).
-  void RegisterSlotMetricsLocked(const std::string& id, Slot& slot);
+  /// Adds an empty slot for `id` and registers its metric names
+  /// (refreshing the shard: the schema grew, so the old one no longer
+  /// spans it).
+  Slot& AddSlotLocked(const std::string& id, std::string path);
   /// Books `count` onto a slot counter and folds it into the registry
   /// immediately (control-plane rates are low; immediacy beats shaving a
   /// mutex acquisition).
   void IncLocked(size_t metric_id, uint64_t count);
-  /// Loads a non-resident slot through loader_ and applies eviction.
+  /// Loads a non-resident slot through loader_ and installs it.
   Status LoadSlotLocked(const std::string& id, Slot& slot);
-  /// Marks `id` most recently used.
+  /// Makes `model` the slot's resident generation and, for evictable
+  /// slots, updates the byte estimate and LRU order and applies eviction.
+  void InstallLocked(const std::string& id, Slot& slot,
+                     std::shared_ptr<ServingModel> model);
+  /// Marks `id` most recently used (no-op for the pinned default).
   void TouchLocked(const std::string& id, Slot& slot);
   /// Evicts LRU generations with clean overlays until under budget.
   /// `keep` is the id just loaded — evicting it would thrash.
@@ -173,6 +189,8 @@ class ModelRegistry {
   /// Vehicle for counter folds; recreated whenever a new slot's names
   /// grow the schema.
   std::unique_ptr<MetricsShard> shard_;
+  /// serve.model_reloads in metrics_ (0 when metrics_ is null).
+  size_t reloads_id_ = 0;
 };
 
 /// Resident-byte estimate of one generation: coordinate storage across

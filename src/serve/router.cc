@@ -2,23 +2,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace tkdc::serve {
 namespace {
-
-/// Accept-loop poll interval; bounds shutdown latency (same as the
-/// server's).
-constexpr int kAcceptPollMs = 50;
 
 /// Prober sleep granularity, so shutdown is observed well inside one
 /// probe interval.
@@ -27,9 +22,6 @@ constexpr int64_t kProbeSliceMs = 50;
 /// Missed-probe budget: a worker silent for this many probe intervals is
 /// failed.
 constexpr int64_t kProbeMissBudget = 3;
-
-/// Scope-less requests key the ring on the default model's name.
-constexpr char kDefaultScopeKey[] = "default";
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -204,20 +196,29 @@ void Router::FailWorker(size_t worker) {
   // Wake the reader out of its blocking poll; the prober joins it and
   // closes the fd on the redial path.
   ::shutdown(link.fd, SHUT_RDWR);
-  std::vector<Pending> orphans;
-  {
-    std::lock_guard<std::mutex> lock(link.mutex);
-    orphans.reserve(link.outstanding.size());
-    for (auto& [rid, pending] : link.outstanding) {
-      orphans.push_back(std::move(pending));
-    }
-    link.outstanding.clear();
-  }
   // ERR, not silence: the client learns immediately and retries; the ring
   // now routes the key to a surviving worker.
-  for (const Pending& orphan : orphans) {
-    orphan.client->Write(Response::Error(
-        orphan.client_id, "worker " + link.address + " lost; retry"));
+  AnswerOutstanding(link, "worker " + link.address + " lost; retry");
+}
+
+void Router::AnswerOutstanding(WorkerLink& link, const std::string& message) {
+  std::unordered_map<uint64_t, Pending> orphans;
+  {
+    std::lock_guard<std::mutex> lock(link.mutex);
+    orphans.swap(link.outstanding);
+  }
+  for (const auto& [rid, orphan] : orphans) {
+    orphan.client->Write(Response::Error(orphan.client_id, message));
+  }
+}
+
+void Router::CloseLink(WorkerLink& link) {
+  if (link.reader.joinable()) link.reader.join();
+  std::lock_guard<std::mutex> lock(link.mutex);
+  link.writer.reset();
+  if (link.fd >= 0) {
+    ::close(link.fd);
+    link.fd = -1;
   }
 }
 
@@ -229,12 +230,9 @@ void Router::Forward(std::string_view payload,
         0, "bad request id (want a uint64 first token)"));
     return;
   }
+  // Scope-less requests key the ring on the default model's id.
   const std::string scope = BestEffortModelScope(payload);
-  // Both branches must already be views: a mixed char*/string ternary
-  // would materialize (and immediately destroy) a temporary string.
-  const std::string_view key = scope.empty()
-                                   ? std::string_view(kDefaultScopeKey)
-                                   : std::string_view(scope);
+  const std::string_view key = ModelIdOrDefault(scope);
   std::optional<size_t> picked;
   {
     std::lock_guard<std::mutex> lock(ring_mutex_);
@@ -323,38 +321,21 @@ void Router::ProberLoop() {
           FailWorker(w);  // Silent across the miss budget: presumed dead.
           continue;
         }
-        std::lock_guard<std::mutex> lock(link.mutex);
-        if (link.writer != nullptr) {
-          link.writer->WriteRaw("0 PING");
-          if (link.writer->broken()) {
-            // Fail outside the link mutex (FailWorker retakes it).
-            continue;
+        bool broken = false;
+        {
+          std::lock_guard<std::mutex> lock(link.mutex);
+          if (link.writer != nullptr) {
+            link.writer->WriteRaw("0 PING");
+            broken = link.writer->broken();
           }
         }
+        if (broken) FailWorker(w);  // Outside the link mutex it retakes.
       } else {
         // Redial: retire the dead connection, then splice a fresh one
         // back onto the ring.
-        if (link.reader.joinable()) link.reader.join();
-        {
-          std::lock_guard<std::mutex> lock(link.mutex);
-          link.writer.reset();
-          if (link.fd >= 0) {
-            ::close(link.fd);
-            link.fd = -1;
-          }
-        }
+        CloseLink(link);
         const int fd = Dial(link.address);
         if (fd >= 0) Activate(w, fd);
-      }
-    }
-    // Sweep write failures detected under the lock above.
-    for (size_t w = 0; w < links_.size(); ++w) {
-      WorkerLink& link = *links_[w];
-      if (link.up.load(std::memory_order_acquire)) {
-        std::unique_lock<std::mutex> lock(link.mutex);
-        const bool broken = link.writer != nullptr && link.writer->broken();
-        lock.unlock();
-        if (broken) FailWorker(w);
       }
     }
   }
@@ -379,20 +360,20 @@ bool Router::Drained(const std::shared_ptr<FrameWriter>& client) const {
   return true;
 }
 
+std::shared_ptr<FrameWriter> Router::ServeClient(int in_fd, int out_fd,
+                                                Framing framing) {
+  // The writer outlives this loop through Pending references, so late
+  // worker responses still reach the client.
+  return ServeFrames(
+      in_fd, out_fd, framing, [this] { return ShouldStop(); },
+      [this](std::string_view payload,
+             const std::shared_ptr<FrameWriter>& writer) {
+        Forward(payload, writer);
+      });
+}
+
 int Router::RunPipe(int in_fd, int out_fd) {
-  FrameReader reader(in_fd, Framing::kLine);
-  const auto writer = std::make_shared<FrameWriter>(
-      out_fd, Framing::kLine, /*owns_fd=*/in_fd == out_fd);
-  const auto stop = [this] { return ShouldStop(); };
-  while (true) {
-    auto frame = reader.Next(stop);
-    if (!frame.ok()) {
-      writer->Write(Response::Error(0, frame.message()));
-      break;
-    }
-    if (!frame.value().has_value()) break;  // EOF or shutdown.
-    Forward(*frame.value(), writer);
-  }
+  const auto writer = ServeClient(in_fd, out_fd, Framing::kLine);
   // Drain before exiting: forwarded requests still in flight get their
   // responses (or an outage ERR) written first.
   const int64_t deadline = NowMs() + 10'000;
@@ -404,64 +385,11 @@ int Router::RunPipe(int in_fd, int out_fd) {
 }
 
 int Router::RunTcp(uint16_t port, std::ostream& announce) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::fprintf(stderr, "socket failed: %s\n", std::strerror(errno));
-    return 1;
-  }
-  const int enable = 1;
-  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listener, 64) < 0) {
-    std::fprintf(stderr, "bind/listen failed: %s\n", std::strerror(errno));
-    ::close(listener);
-    return 1;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  announce << "listening on 127.0.0.1:" << ntohs(addr.sin_port) << "\n"
-           << std::flush;
-
-  std::vector<std::thread> sessions;
-  while (!ShouldStop()) {
-    struct pollfd pfd;
-    pfd.fd = listener;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, kAcceptPollMs);
-    if (ready < 0 && errno != EINTR) {
-      std::fprintf(stderr, "poll failed: %s\n", std::strerror(errno));
-      break;
-    }
-    if (ready <= 0) continue;
-    const int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) continue;
-    sessions.emplace_back([this, conn] {
-      FrameReader reader(conn, Framing::kLengthPrefixed);
-      const auto writer = std::make_shared<FrameWriter>(
-          conn, Framing::kLengthPrefixed, /*owns_fd=*/true);
-      const auto stop = [this] { return ShouldStop(); };
-      while (true) {
-        auto frame = reader.Next(stop);
-        if (!frame.ok()) {
-          writer->Write(Response::Error(0, frame.message()));
-          return;
-        }
-        if (!frame.value().has_value()) return;
-        Forward(*frame.value(), writer);
-      }
-      // The shared writer outlives this loop through Pending references,
-      // so late worker responses still reach the client.
-    });
-  }
-  ::close(listener);
-  for (std::thread& session : sessions) session.join();
+  const int code = RunAcceptLoop(
+      port, announce, [this] { return ShouldStop(); },
+      [this](int fd) { ServeClient(fd, fd, Framing::kLengthPrefixed); });
   Shutdown();
-  return 0;
+  return code;
 }
 
 void Router::Shutdown() {
@@ -472,24 +400,8 @@ void Router::Shutdown() {
     WorkerLink& link = *link_ptr;
     link.up.store(false, std::memory_order_release);
     if (link.fd >= 0) ::shutdown(link.fd, SHUT_RDWR);
-    if (link.reader.joinable()) link.reader.join();
-    std::vector<Pending> orphans;
-    {
-      std::lock_guard<std::mutex> lock(link.mutex);
-      for (auto& [rid, pending] : link.outstanding) {
-        orphans.push_back(std::move(pending));
-      }
-      link.outstanding.clear();
-      link.writer.reset();
-      if (link.fd >= 0) {
-        ::close(link.fd);
-        link.fd = -1;
-      }
-    }
-    for (const Pending& orphan : orphans) {
-      orphan.client->Write(
-          Response::Error(orphan.client_id, "router shutting down"));
-    }
+    CloseLink(link);
+    AnswerOutstanding(link, "router shutting down");
   }
 }
 

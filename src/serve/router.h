@@ -96,7 +96,8 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// TCP mode: listens on 127.0.0.1:`port` (0 = ephemeral, announced as
-  /// "listening on 127.0.0.1:<port>"), one session thread per client.
+  /// "listening on 127.0.0.1:<port>"), one session thread per live client
+  /// (RunAcceptLoop).
   int RunTcp(uint16_t port, std::ostream& announce);
 
   /// Pipe mode: line-framed requests on `in_fd`, responses on `out_fd`;
@@ -133,6 +134,11 @@ class Router {
 
   explicit Router(RouterOptions options);
 
+  /// Forwards every request frame from `in_fd` until EOF or shutdown (the
+  /// pipe loop and every TCP session); returns the client's writer.
+  std::shared_ptr<FrameWriter> ServeClient(int in_fd, int out_fd,
+                                           Framing framing);
+
   /// Routes one raw request payload; writes every failure response
   /// (OVERLOADED, no workers, worker lost) to `client` itself.
   void Forward(std::string_view payload,
@@ -148,6 +154,12 @@ class Router {
   /// Takes the link down: off the ring, outstanding answered ERR, socket
   /// shut down to wake its reader. Idempotent per outage.
   void FailWorker(size_t worker);
+
+  /// Answers every request outstanding on `link` with ERR `message`.
+  static void AnswerOutstanding(WorkerLink& link, const std::string& message);
+
+  /// Joins the link's reader, then drops its writer and closes its fd.
+  static void CloseLink(WorkerLink& link);
 
   /// Dials `address` ("127.0.0.1:PORT" or "PORT"); -1 on failure.
   static int Dial(const std::string& address);

@@ -1,16 +1,9 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -24,9 +17,6 @@
 
 namespace tkdc::serve {
 namespace {
-
-/// Poll interval of the accept loop; bounds shutdown/reload latency.
-constexpr int kAcceptPollMs = 50;
 
 /// Reservoir size of the online threshold estimator.
 constexpr size_t kThresholdReservoir = 1024;
@@ -52,12 +42,10 @@ Result<std::unique_ptr<Server>> Server::Create(ServerOptions options) {
   std::signal(SIGPIPE, SIG_IGN);
   std::unique_ptr<Server> server(new Server(std::move(options)));
   Server* raw = server.get();
-  auto model = server->LoadServingModel(server->options_.model_path);
-  if (!model.ok()) return model.status();
-  // Named slots resolve through the same loader as the default model, so
-  // a registry generation gets identical threading/metrics/streaming
-  // setup. Registered metrics appear append-only, which the late
-  // registration contract permits mid-serving.
+  // Every slot loads through LoadServingModel, so all generations get
+  // identical threading/metrics/streaming setup. Registered metrics appear
+  // append-only, which the late registration contract permits
+  // mid-serving.
   RegistryOptions registry_options;
   registry_options.max_resident_bytes = server->options_.max_resident_bytes;
   registry_options.preload = server->options_.preload_models;
@@ -68,17 +56,20 @@ Result<std::unique_ptr<Server>> Server::Create(ServerOptions options) {
         return raw->LoadServingModel(path);
       },
       &server->registry_);
+  auto model = server->LoadServingModel(server->options_.model_path);
+  if (!model.ok()) return model.status();
+  // The startup model becomes the pinned default slot.
+  const Status published =
+      server->model_registry_->Publish(kDefaultModelId, model.take());
+  if (!published.ok()) return published;
   if (!server->options_.model_dir.empty()) {
     const Status scan =
         server->model_registry_->ScanModelDir(server->options_.model_dir);
     if (!scan.ok()) return scan;
   }
-  // Order matters: the model attachment above registered the query-path
-  // metric schema; the batcher registers the serve schema and then sizes
-  // its shard, so every registration must precede it.
   server->batcher_ = std::make_unique<MicroBatcher>(
-      server->options_.batcher, model.take(), &server->registry_);
-  server->batcher_->SetRegistry(server->model_registry_.get());
+      server->options_.batcher, server->model_registry_.get(),
+      &server->registry_);
   // The rebuild worker always runs: even when the default model is
   // static, LOAD can register streaming slots at any time.
   server->batcher_->SetRebuildRequestCallback(
@@ -174,51 +165,24 @@ void Server::SetUpStreaming(
   model.estimator = std::move(estimator);
 }
 
-Status Server::Reload(const std::string& path) {
-  // Serialized: concurrent RELOAD requests (or RELOAD racing SIGHUP) load
-  // one at a time; each publishes atomically via SwapModel.
+Status Server::Reload(const std::string& path, const std::string& id) {
+  // Serialized: concurrent RELOAD requests (or RELOAD racing SIGHUP or a
+  // rebuild) publish one at a time.
   std::lock_guard<std::mutex> lock(reload_mutex_);
-  const std::string& effective = path.empty() ? options_.model_path : path;
-  auto model = LoadServingModel(effective);
-  if (!model.ok()) return model.status();
-  batcher_->SwapModel(model.take());
-  return Status::Ok();
-}
-
-Status Server::ReloadScoped(const std::string& id, const std::string& path) {
-  std::lock_guard<std::mutex> lock(reload_mutex_);
-  std::string effective = path;
-  if (effective.empty()) {
-    for (const ModelRegistry::Entry& entry : model_registry_->List()) {
-      if (entry.id == id) {
-        effective = entry.path;
-        break;
-      }
-    }
-    if (effective.empty()) {
-      return Errorf() << "unknown model \"" << id << "\"";
-    }
-  }
-  auto model = LoadServingModel(effective);
-  if (!model.ok()) return model.status();
-  return model_registry_->Publish(id, model.take());
+  return model_registry_->Reload(id, path);
 }
 
 Result<uint64_t> Server::RebuildNow(const std::string& model_id) {
   // Same lock as Reload: publications are serialized, so at most one
   // PublishRebuild is pending at any time (the batcher checks this).
   std::lock_guard<std::mutex> lock(reload_mutex_);
-  std::shared_ptr<ServingModel> old_model;
-  if (model_id.empty()) {
-    old_model = batcher_->model();
-  } else {
-    // Resident slots only: a rebuild folds live overlay state, which a
-    // non-resident (or unknown) slot does not have.
-    old_model = model_registry_->Resident(model_id);
-    if (old_model == nullptr) {
-      return Errorf() << "model \"" << model_id
-                      << "\" is not resident; nothing to flush";
-    }
+  // Resident slots only: a rebuild folds live overlay state, which a
+  // non-resident (or unknown) slot does not have.
+  const std::shared_ptr<ServingModel> old_model =
+      model_registry_->Resident(model_id);
+  if (old_model == nullptr) {
+    return Errorf() << "model \"" << model_id
+                    << "\" is not resident; nothing to flush";
   }
   if (!old_model->streaming) {
     return Errorf() << "model is not streaming-capable; nothing to flush";
@@ -315,26 +279,24 @@ void Server::RebuildWorker() {
     if (!result.ok()) {
       // Keep serving base + overlay; an operator-visible note, never an
       // abort. The next trigger retries.
-      std::fprintf(stderr, "background rebuild%s%s failed: %s\n",
-                   model_id.empty() ? "" : " for @",
-                   model_id.empty() ? "" : model_id.c_str(),
-                   result.status().message().c_str());
+      std::fprintf(stderr, "background rebuild for @%s failed: %s\n",
+                   model_id.c_str(), result.status().message().c_str());
     }
     lock.lock();
   }
 }
 
-void Server::PollReloadFlag() {
-  if (options_.reload == nullptr ||
-      !options_.reload->exchange(false, std::memory_order_relaxed)) {
-    return;
+bool Server::PollStop() {
+  if (options_.reload != nullptr &&
+      options_.reload->exchange(false, std::memory_order_relaxed)) {
+    if (const Status status = Reload(""); !status.ok()) {
+      // Keep serving the old model; the operator asked for a swap that
+      // failed, which must not take the daemon down.
+      std::fprintf(stderr, "reload failed: %s\n", status.message().c_str());
+    }
   }
-  const Status status = Reload("");
-  if (!status.ok()) {
-    // Keep serving the old model; the operator asked for a swap that
-    // failed, which must not take the daemon down.
-    std::fprintf(stderr, "reload failed: %s\n", status.message().c_str());
-  }
+  return options_.terminate != nullptr &&
+         options_.terminate->load(std::memory_order_relaxed);
 }
 
 void Server::WriteModelJson(std::ostream& json,
@@ -416,11 +378,16 @@ void Server::WriteModelJson(std::ostream& json,
   json << "}";
 }
 
-void Server::Dispatch(Request request,
+void Server::Dispatch(std::string_view payload,
                       const std::shared_ptr<FrameWriter>& writer) {
-  // "@default" means the batcher's own model everywhere.
-  const std::string scope =
-      request.model_id == kDefaultModelId ? "" : request.model_id;
+  auto parsed = ParseRequest(payload);
+  if (!parsed.ok()) {
+    writer->Write(
+        Response::Error(BestEffortRequestId(payload), parsed.message()));
+    return;
+  }
+  Request request = parsed.take();
+  const std::string scope(ModelIdOrDefault(request.model_id));
   switch (request.verb) {
     case RequestVerb::kPing:
       writer->Write(Response::Ok(request.id, "PONG"));
@@ -431,7 +398,7 @@ void Server::Dispatch(Request request,
       batcher_->snapshot();
       std::ostringstream json;
       json << std::setprecision(17);
-      if (!scope.empty()) {
+      if (scope != kDefaultModelId) {
         const std::shared_ptr<ServingModel> model =
             model_registry_->Resident(scope);
         if (model == nullptr) {
@@ -444,19 +411,20 @@ void Server::Dispatch(Request request,
         json << "{\"model_id\":\"" << scope << "\",\"model\":";
         WriteModelJson(json, *model);
       } else {
-        const std::shared_ptr<ServingModel> model = batcher_->model();
-        // The flat block keeps its PR-9 shape for scope-less clients; the
-        // "models" map nests one block per resident model.
+        // The flat block keeps the default model's single-model shape for
+        // scope-less clients; the "models" map nests one block per
+        // resident model, the default first.
         json << "{\"model\":";
-        WriteModelJson(json, *model);
-        json << ",\"models\":{\"" << kDefaultModelId << "\":";
-        WriteModelJson(json, *model);
+        WriteModelJson(json, *batcher_->model());
+        json << ",\"models\":{";
+        const char* separator = "";
         for (const std::string& id : model_registry_->ResidentIds()) {
           const std::shared_ptr<ServingModel> resident =
               model_registry_->Resident(id);
           if (resident == nullptr) continue;  // Evicted since listing.
-          json << ",\"" << id << "\":";
+          json << separator << "\"" << id << "\":";
           WriteModelJson(json, *resident);
+          separator = ",";
         }
         json << "}";
       }
@@ -467,17 +435,16 @@ void Server::Dispatch(Request request,
       return;
     }
     case RequestVerb::kModels: {
-      const std::shared_ptr<ServingModel> model = batcher_->model();
       std::ostringstream json;
-      json << "{\"models\":[{\"id\":\"" << kDefaultModelId << "\",\"path\":\""
-           << model->source_path
-           << "\",\"resident\":true,\"generation\":" << model->generation
-           << ",\"approx_bytes\":" << ApproxModelBytes(*model) << "}";
+      json << "{\"models\":[";
+      const char* separator = "";
       for (const ModelRegistry::Entry& entry : model_registry_->List()) {
-        json << ",{\"id\":\"" << entry.id << "\",\"path\":\"" << entry.path
+        json << separator << "{\"id\":\"" << entry.id << "\",\"path\":\""
+             << entry.path
              << "\",\"resident\":" << (entry.resident ? "true" : "false")
              << ",\"generation\":" << entry.generation
              << ",\"approx_bytes\":" << entry.approx_bytes << "}";
+        separator = ",";
       }
       json << "],\"registry_resident_bytes\":"
            << model_registry_->resident_bytes()
@@ -503,9 +470,7 @@ void Server::Dispatch(Request request,
       return;
     }
     case RequestVerb::kReload: {
-      const Status status = scope.empty()
-                                ? Reload(request.path)
-                                : ReloadScoped(scope, request.path);
+      const Status status = Reload(request.path, scope);
       writer->Write(status.ok()
                         ? Response::Ok(request.id, "RELOADED")
                         : Response::Error(request.id, status.message()));
@@ -542,32 +507,11 @@ void Server::Dispatch(Request request,
 }
 
 void Server::ServeConnection(int in_fd, int out_fd, Framing framing) {
-  FrameReader reader(in_fd, framing);
-  const auto writer = std::make_shared<FrameWriter>(
-      out_fd, framing, /*owns_fd=*/in_fd == out_fd);
-  const auto stop = [this] {
-    // Piggybacked on the read poll: reload flags are consumed within one
-    // poll interval even on an idle connection.
-    PollReloadFlag();
-    return ShouldStop();
-  };
-  while (true) {
-    auto frame = reader.Next(stop);
-    if (!frame.ok()) {
-      // Broken framing: tell the peer (best effort) and drop the
-      // connection; the daemon itself keeps serving.
-      writer->Write(Response::Error(0, frame.message()));
-      return;
-    }
-    if (!frame.value().has_value()) return;  // EOF or shutdown.
-    auto request = ParseRequest(*frame.value());
-    if (!request.ok()) {
-      writer->Write(Response::Error(BestEffortRequestId(*frame.value()),
-                                    request.message()));
-      continue;
-    }
-    Dispatch(request.take(), writer);
-  }
+  ServeFrames(in_fd, out_fd, framing, [this] { return PollStop(); },
+              [this](std::string_view payload,
+                     const std::shared_ptr<FrameWriter>& writer) {
+                Dispatch(payload, writer);
+              });
 }
 
 int Server::RunPipe(int in_fd, int out_fd) {
@@ -577,55 +521,14 @@ int Server::RunPipe(int in_fd, int out_fd) {
 }
 
 int Server::RunTcp(uint16_t port, std::ostream& announce) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::fprintf(stderr, "socket failed: %s\n", std::strerror(errno));
-    return 1;
-  }
-  const int enable = 1;
-  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listener, 64) < 0) {
-    std::fprintf(stderr, "bind/listen failed: %s\n", std::strerror(errno));
-    ::close(listener);
-    return 1;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  announce << "listening on 127.0.0.1:" << ntohs(addr.sin_port) << "\n"
-           << std::flush;
-
-  std::vector<std::thread> sessions;
-  while (!ShouldStop()) {
-    PollReloadFlag();
-    struct pollfd pfd;
-    pfd.fd = listener;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, kAcceptPollMs);
-    if (ready < 0 && errno != EINTR) {
-      std::fprintf(stderr, "poll failed: %s\n", std::strerror(errno));
-      break;
-    }
-    if (ready <= 0) continue;
-    const int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) continue;
-    sessions.emplace_back([this, conn] {
-      // One socket for both directions; the FrameWriter owns and closes it.
-      ServeConnection(conn, conn, Framing::kLengthPrefixed);
-    });
-  }
-  ::close(listener);
   // Sessions observe the same terminate flag within a poll interval; their
   // admitted requests are answered by Shutdown()'s drain through the
   // writers the completions hold alive.
-  for (std::thread& session : sessions) session.join();
+  const int code = RunAcceptLoop(
+      port, announce, [this] { return PollStop(); },
+      [this](int fd) { ServeConnection(fd, fd, Framing::kLengthPrefixed); });
   Shutdown();
-  return 0;
+  return code;
 }
 
 void Server::Shutdown() {

@@ -19,14 +19,16 @@
 namespace tkdc::serve {
 
 struct ServerOptions {
-  /// Trained model file served at startup and by flagless RELOAD/SIGHUP.
+  /// Trained model file of the default slot (kDefaultModelId): loaded at
+  /// startup and by a flagless default RELOAD/SIGHUP.
   std::string model_path;
   /// Directory of additional "<id>.tkdc" model slots, addressed per
   /// request as @<id>. Empty = no startup scan; LOAD can still register
   /// slots at runtime.
   std::string model_dir;
-  /// Resident-set byte budget for registry models (0 = unbounded); LRU
-  /// slots are evicted past it. The default model is exempt.
+  /// Resident-set byte budget for the evictable slots (0 = unbounded); LRU
+  /// slots are evicted past it. The default slot is pinned: never evicted
+  /// and not counted.
   size_t max_resident_bytes = 0;
   /// Load every scanned model-dir slot at startup instead of on first
   /// use.
@@ -43,9 +45,10 @@ struct ServerOptions {
   /// Externally owned shutdown flag (SIGTERM handler sets it; tests set it
   /// directly). Null = only EOF / connection close stops the server.
   const std::atomic<bool>* terminate = nullptr;
-  /// Externally owned reload flag (SIGHUP). Checked by connection loops;
-  /// when set, the serving model is reloaded from `model_path` and the
-  /// flag cleared. Null = reload only via RELOAD requests.
+  /// Externally owned reload flag (SIGHUP). Checked by the accept and
+  /// connection loops; when set, the default slot is reloaded from
+  /// `model_path` and the flag cleared. Null = reload only via RELOAD
+  /// requests.
   std::atomic<bool>* reload = nullptr;
 
   // --- Streaming (INSERT / DELETE / FLUSH) knobs ------------------------
@@ -61,8 +64,9 @@ struct ServerOptions {
 };
 
 /// The long-lived `tkdc_serve` daemon: owns the metrics registry, the
-/// serving model, and the micro-batcher; speaks the serve protocol over
-/// TCP connections (length-prefixed frames) or a pipe pair (line frames).
+/// model registry (every served model, the default one included), and the
+/// micro-batcher; speaks the serve protocol over TCP connections
+/// (length-prefixed frames) or a pipe pair (line frames).
 ///
 /// Request routing: classify/estimate verbs go through the admission
 /// queue and the micro-batcher; control verbs (PING, STATS, RELOAD) are
@@ -90,29 +94,28 @@ class Server {
   int RunPipe(int in_fd, int out_fd);
 
   /// TCP mode: listens on 127.0.0.1:`port` (0 = ephemeral) and serves
-  /// length-prefixed frames, one thread per connection, until terminate.
+  /// length-prefixed frames, one thread per live connection
+  /// (RunAcceptLoop), until terminate.
   /// Announces "listening on 127.0.0.1:<port>" on `announce` once bound.
   /// Returns the process exit code.
   int RunTcp(uint16_t port, std::ostream& announce);
 
-  /// Loads `path` (empty = the startup model path) and publishes it.
-  /// In-flight and queued requests all complete; serialized internally.
-  /// A reload discards any staged overlay (the file on disk is the new
-  /// truth) and starts a fresh streaming generation.
-  Status Reload(const std::string& path);
+  /// Loads `path` (empty = the slot's registered path) and publishes it
+  /// into the slot `id`. In-flight and queued requests all complete;
+  /// serialized internally. A path override does not change what the slot
+  /// reloads from next time. A reload discards any staged overlay (the
+  /// file on disk is the new truth) and starts a fresh streaming
+  /// generation.
+  Status Reload(const std::string& path,
+                const std::string& id = kDefaultModelId);
 
-  /// Scoped RELOAD: loads `path` (empty = the slot's registered path) and
-  /// publishes it into the registry slot `id`. Like default RELOAD, a
-  /// path override does not change what the slot reloads from next time.
-  Status ReloadScoped(const std::string& id, const std::string& path);
-
-  /// Synchronously retrains `model_id`'s base model ("" = the default
-  /// model) on base ∪ overlay and publishes it through the dispatcher
-  /// (zero requests dropped; overlay mutations racing the retrain migrate
-  /// into the new generation). Returns the new base point count. The
-  /// FLUSH verb and the background rebuild worker both land here; calls
-  /// serialize internally. Scoped rebuilds target resident slots only.
-  Result<uint64_t> RebuildNow(const std::string& model_id = std::string());
+  /// Synchronously retrains `model_id`'s base model on base ∪ overlay and
+  /// publishes it through the dispatcher (zero requests dropped; overlay
+  /// mutations racing the retrain migrate into the new generation).
+  /// Returns the new base point count. The FLUSH verb and the background
+  /// rebuild worker both land here; calls serialize internally. Rebuilds
+  /// target resident slots only.
+  Result<uint64_t> RebuildNow(const std::string& model_id = kDefaultModelId);
 
   /// Drains the batcher and, when configured, writes --metrics-out.
   /// Idempotent; the Run loops call it on exit.
@@ -138,7 +141,7 @@ class Server {
                       std::shared_ptr<OnlineThresholdEstimator> estimator);
 
   /// Non-blocking rebuild request from the dispatcher; flags the worker
-  /// with the scope to rebuild ("" = the default model).
+  /// with the model id to rebuild.
   void RequestRebuild(const std::string& model_id);
   /// Background rebuild worker loop.
   void RebuildWorker();
@@ -152,21 +155,20 @@ class Server {
   /// the dispatcher through the connection's shared writer).
   void ServeConnection(int in_fd, int out_fd, Framing framing);
 
-  /// Answers one parsed request: control verbs inline, data verbs via the
-  /// batcher.
-  void Dispatch(Request request, const std::shared_ptr<FrameWriter>& writer);
+  /// Answers one request payload: parse errors and control verbs inline,
+  /// data verbs via the batcher.
+  void Dispatch(std::string_view payload,
+                const std::shared_ptr<FrameWriter>& writer);
 
-  bool ShouldStop() const {
-    return options_.terminate != nullptr &&
-           options_.terminate->load(std::memory_order_relaxed);
-  }
-  /// Consumes a pending SIGHUP-style reload flag, if any.
-  void PollReloadFlag();
+  /// The loops' stop predicate: consumes a pending SIGHUP-style reload
+  /// flag, if any (so it is served within one poll interval even when
+  /// idle), then reports whether to shut down.
+  bool PollStop();
 
   ServerOptions options_;
   MetricsRegistry registry_;
-  /// Named model slots (@<id> scopes); constructed before the batcher so
-  /// SetRegistry can hand it over. The default model is not in it.
+  /// Every served model, the pinned default slot included; constructed
+  /// before the batcher, which resolves every batch through it.
   std::unique_ptr<ModelRegistry> model_registry_;
   std::unique_ptr<MicroBatcher> batcher_;
   /// Serializes model publications: RELOAD, SIGHUP, FLUSH, and the
@@ -178,7 +180,7 @@ class Server {
   // Rebuild worker state.
   std::mutex rebuild_mutex_;
   std::condition_variable rebuild_cv_;
-  /// Scopes with a rebuild pending ("" = the default model), deduped.
+  /// Model ids with a rebuild pending, deduped.
   std::vector<std::string> rebuild_requested_ids_;
   bool rebuild_worker_exit_ = false;
   std::thread rebuild_worker_;

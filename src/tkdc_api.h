@@ -74,15 +74,6 @@ struct SaveOptions {
 Status SaveModel(const std::string& path, const DensityClassifier& classifier,
                  const Dataset& training_data, const SaveOptions& options);
 
-/// Deprecated positional-bool form; prefer the SaveOptions overload.
-Status SaveModel(const std::string& path, const DensityClassifier& classifier,
-                 const Dataset& training_data, bool include_densities = true);
-
-/// Loads a single-class model saved by SaveModel, dispatching on the
-/// stored algorithm tag. The result is fully trained. Deprecated entry
-/// point: prefer LoadAny, which also handles multi-class files.
-Result<std::unique_ptr<DensityClassifier>> LoadModel(const std::string& path);
-
 /// Human-readable description of a trained model (the `tkdc_cli info`
 /// body): algorithm, dimensions, threshold, and per-algorithm extras.
 std::string Describe(const DensityClassifier& classifier);
@@ -117,17 +108,6 @@ Result<std::unique_ptr<MultiClassClassifier>> TrainMultiClass(
 Status SaveMultiClassModel(const std::string& path,
                            const MultiClassClassifier& classifier,
                            const SaveOptions& options);
-
-/// Deprecated positional-bool form; prefer the SaveOptions overload.
-Status SaveMultiClassModel(const std::string& path,
-                           const MultiClassClassifier& classifier,
-                           bool include_densities = true);
-
-/// Loads a multi-class container saved by SaveMultiClassModel. Errors on
-/// single-class files (use LoadAny) and on any corruption. Deprecated
-/// entry point: prefer LoadAny, which dispatches on the file kind.
-Result<std::unique_ptr<MultiClassClassifier>> LoadMultiClassModel(
-    const std::string& path);
 
 /// What `path` holds — single-class or multi-class — decided from the
 /// file header alone, so callers can dispatch to the right loader without
@@ -195,8 +175,7 @@ class ModelHandle {
 };
 
 /// Loads any model file — single- or multi-class — dispatching on the
-/// header probe. The one entry point callers need; LoadModel /
-/// LoadMultiClassModel remain as deprecated kind-specific wrappers.
+/// header probe. The one load entry point; the result is fully trained.
 Result<ModelHandle> LoadAny(const std::string& path);
 
 /// Human-readable description of a trained multi-class model (the

@@ -16,6 +16,7 @@
 
 #include "common/metrics.h"
 #include "data/generators.h"
+#include "serve/registry.h"
 #include "tkdc_api.h"
 
 namespace tkdc::serve {
@@ -43,6 +44,19 @@ std::shared_ptr<ServingModel> MakeModel(size_t num_threads) {
   model->classifier = trained.take();
   model->source_path = "<in-memory>";
   return model;
+}
+
+/// A registry serving `model` as its default slot; it loads no files.
+std::unique_ptr<ModelRegistry> DefaultSlot(
+    std::shared_ptr<ServingModel> model) {
+  auto models = std::make_unique<ModelRegistry>(
+      RegistryOptions(),
+      [](const std::string& path) -> Result<std::shared_ptr<ServingModel>> {
+        return Errorf() << "no model files in this test: " << path;
+      },
+      nullptr);
+  EXPECT_TRUE(models->Publish(kDefaultModelId, std::move(model)).ok());
+  return models;
 }
 
 Request ClassifyRequest(uint64_t id, std::vector<double> point) {
@@ -110,7 +124,8 @@ TEST(ServeBatcherTest, ConcurrentSubmitsMatchSerialClassifyExactly) {
   BatcherOptions options;
   options.max_batch = 16;
   options.batch_window_us = 100;
-  MicroBatcher batcher(options, MakeModel(/*num_threads=*/3), nullptr);
+  const auto models = DefaultSlot(MakeModel(/*num_threads=*/3));
+  MicroBatcher batcher(options, models.get(), nullptr);
   batcher.Start();
 
   ResponseLog log;
@@ -155,7 +170,8 @@ TEST(ServeBatcherTest, ShedsWithOverloadedWhenQueueIsFull) {
   options.batch_window_us = 0;
   options.queue_depth = 4;
   MetricsRegistry registry;
-  MicroBatcher batcher(options, MakeModel(1), &registry);
+  const auto models = DefaultSlot(MakeModel(1));
+  MicroBatcher batcher(options, models.get(), &registry);
   batcher.Start();
 
   // First request's completion blocks the dispatcher until released.
@@ -206,7 +222,8 @@ TEST(ServeBatcherTest, ShedsWithOverloadedWhenQueueIsFull) {
 TEST(ServeBatcherTest, ExpiredDeadlinesGetTimeout) {
   BatcherOptions options;
   options.batch_window_us = 0;
-  MicroBatcher batcher(options, MakeModel(1), nullptr);
+  const auto models = DefaultSlot(MakeModel(1));
+  MicroBatcher batcher(options, models.get(), nullptr);
 
   // Submit before Start so the requests sit queued past their deadline.
   ResponseLog log;
@@ -236,7 +253,8 @@ TEST(ServeBatcherTest, HotModelSwapDropsNoRequests) {
   BatcherOptions options;
   options.max_batch = 8;
   options.batch_window_us = 50;
-  MicroBatcher batcher(options, MakeModel(2), nullptr);
+  const auto models = DefaultSlot(MakeModel(2));
+  MicroBatcher batcher(options, models.get(), nullptr);
   batcher.Start();
 
   std::atomic<uint64_t> next_id{1};
@@ -268,7 +286,7 @@ TEST(ServeBatcherTest, HotModelSwapDropsNoRequests) {
   // Publish fresh generations while traffic is in flight.
   for (int swap = 0; swap < 5; ++swap) {
     std::this_thread::sleep_for(milliseconds(10));
-    batcher.SwapModel(MakeModel(2));
+    models->Publish(kDefaultModelId, MakeModel(2));
   }
   stop_traffic.store(true);
   for (auto& t : clients) t.join();
@@ -296,7 +314,8 @@ TEST(ServeBatcherTest, StopDrainsQueueAndRefusesNewWork) {
   BatcherOptions options;
   options.max_batch = 4;
   options.batch_window_us = 1000;
-  MicroBatcher batcher(options, MakeModel(1), nullptr);
+  const auto models = DefaultSlot(MakeModel(1));
+  MicroBatcher batcher(options, models.get(), nullptr);
   batcher.Start();
 
   ResponseLog log;
@@ -331,7 +350,8 @@ TEST(ServeBatcherTest, EstimateAndClassifyShareABatch) {
 
   BatcherOptions options;
   options.batch_window_us = 5000;  // Wide window: both requests coalesce.
-  MicroBatcher batcher(options, MakeModel(2), nullptr);
+  const auto models = DefaultSlot(MakeModel(2));
+  MicroBatcher batcher(options, models.get(), nullptr);
   batcher.Start();
 
   ResponseLog log;
@@ -354,7 +374,8 @@ TEST(ServeBatcherTest, EstimateAndClassifyShareABatch) {
 TEST(ServeBatcherTest, DimensionMismatchIsARequestLevelError) {
   BatcherOptions options;
   options.batch_window_us = 5000;
-  MicroBatcher batcher(options, MakeModel(1), nullptr);
+  const auto models = DefaultSlot(MakeModel(1));
+  MicroBatcher batcher(options, models.get(), nullptr);
   batcher.Start();
 
   ResponseLog log;

@@ -112,7 +112,8 @@ class FleetE2eTest : public ::testing::Test {
       EXPECT_TRUE(trained.ok()) << trained.message();
       auto* result = new std::string(testing::TempDir() + "/fleet_model." +
                                      std::to_string(getpid()) + ".tkdc");
-      const Status saved = api::SaveModel(*result, *trained.value(), data);
+      const Status saved = api::SaveModel(*result, *trained.value(), data,
+                                          api::SaveOptions());
       EXPECT_TRUE(saved.ok()) << saved.message();
       return result;
     }();

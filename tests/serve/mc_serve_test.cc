@@ -68,7 +68,8 @@ std::string McModelPath() {
     EXPECT_TRUE(trained.ok()) << trained.message();
     auto* result = new std::string(testing::TempDir() + "/mc_serve_model." +
                                    std::to_string(getpid()) + ".tkdc");
-    const Status saved = api::SaveMultiClassModel(*result, *trained.value());
+    const Status saved = api::SaveMultiClassModel(*result, *trained.value(),
+                                                   api::SaveOptions());
     EXPECT_TRUE(saved.ok()) << saved.message();
     return result;
   }();
@@ -89,7 +90,8 @@ std::string SingleClassModelPath() {
     EXPECT_TRUE(trained.ok()) << trained.message();
     auto* result = new std::string(testing::TempDir() + "/mc_serve_single." +
                                    std::to_string(getpid()) + ".tkdc");
-    const Status saved = api::SaveModel(*result, *trained.value(), data);
+    const Status saved = api::SaveModel(*result, *trained.value(), data,
+                                        api::SaveOptions());
     EXPECT_TRUE(saved.ok()) << saved.message();
     return result;
   }();

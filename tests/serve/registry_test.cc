@@ -35,7 +35,8 @@ class RegistryTest : public ::testing::Test {
       EXPECT_TRUE(trained.ok()) << trained.message();
       auto* result = new std::string(testing::TempDir() + "/registry_model." +
                                      std::to_string(getpid()) + ".tkdc");
-      const Status saved = api::SaveModel(*result, *trained.value(), data);
+      const Status saved = api::SaveModel(*result, *trained.value(), data,
+                                          api::SaveOptions());
       EXPECT_TRUE(saved.ok()) << saved.message();
       return result;
     }();

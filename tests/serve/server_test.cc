@@ -48,7 +48,8 @@ class ServeServerTest : public ::testing::Test {
       // concurrent writers to one shared fixture file would corrupt it.
       auto* result = new std::string(testing::TempDir() + "/serve_model." +
                                      std::to_string(getpid()) + ".tkdc");
-      const Status saved = api::SaveModel(*result, *trained.value(), data);
+      const Status saved = api::SaveModel(*result, *trained.value(), data,
+                                          api::SaveOptions());
       EXPECT_TRUE(saved.ok()) << saved.message();
       return result;
     }();

@@ -50,7 +50,8 @@ std::string ModelPath() {
     EXPECT_TRUE(trained.ok()) << trained.message();
     auto* result = new std::string(testing::TempDir() + "/stream_model." +
                                    std::to_string(getpid()) + ".tkdc");
-    const Status saved = api::SaveModel(*result, *trained.value(), data);
+    const Status saved = api::SaveModel(*result, *trained.value(), data,
+                                        api::SaveOptions());
     EXPECT_TRUE(saved.ok()) << saved.message();
     return result;
   }();
@@ -316,7 +317,8 @@ std::string CompressedModelPath() {
     EXPECT_LT(classifier->training_size(), data.size());
     auto* result = new std::string(testing::TempDir() + "/stream_coreset." +
                                    std::to_string(getpid()) + ".tkdc");
-    const Status saved = api::SaveModel(*result, *trained.value(), data);
+    const Status saved = api::SaveModel(*result, *trained.value(), data,
+                                        api::SaveOptions());
     EXPECT_TRUE(saved.ok()) << saved.message();
     return result;
   }();
