@@ -170,6 +170,18 @@ std::vector<double> MetricsRegistry::DecadeBounds(int lo, int hi) {
   return bounds;
 }
 
+std::vector<double> MetricsRegistry::OneTwoFiveBounds(int lo, int hi) {
+  TKDC_CHECK(lo <= hi);
+  std::vector<double> bounds;
+  bounds.reserve(static_cast<size_t>(3 * (hi - lo) + 1));
+  for (int e = lo; e < hi; ++e) {
+    const double decade = std::pow(10.0, static_cast<double>(e));
+    for (double step : {1.0, 2.0, 5.0}) bounds.push_back(step * decade);
+  }
+  bounds.push_back(std::pow(10.0, static_cast<double>(hi)));
+  return bounds;
+}
+
 MetricsShard::MetricsShard(const MetricsRegistry& registry) {
   counters_.assign(registry.counter_names_.size(), 0);
   bounds_ = registry.histogram_bounds_;

@@ -96,6 +96,11 @@ class MetricsRegistry {
   /// (relative bound gaps).
   static std::vector<double> DecadeBounds(int lo, int hi);
 
+  /// 1-2-5 bounds 1*10^lo, 2*10^lo, 5*10^lo, 1*10^(lo+1), ..., 10^hi: three
+  /// buckets per decade, for latencies whose percentiles must resolve
+  /// changes smaller than 10x.
+  static std::vector<double> OneTwoFiveBounds(int lo, int hi);
+
  private:
   friend class MetricsShard;
 

@@ -78,11 +78,6 @@ class BallTree : public SpatialIndex {
                                        double* z_min,
                                        double* z_max) const override;
 
-  void NodeScaledSquaredDistanceBoundsToBox(
-      size_t node_index, const BoundingBox& query_box,
-      std::span<const double> inv_bw, double* z_min,
-      double* z_max) const override;
-
   /// Both children's Eq. 6 ball bounds from one fused pass that computes
   /// the two centroid distances (one lane each) and the shared metric
   /// correction factors together — bit-identical to two single-node calls

@@ -68,38 +68,6 @@ double BoundingBox::MaxScaledSquaredDistance(
   return z;
 }
 
-double BoundingBox::MinScaledSquaredDistanceToBox(
-    const BoundingBox& other, std::span<const double> inv_bw) const {
-  TKDC_DCHECK(other.dims() == dims());
-  double z = 0.0;
-  for (size_t j = 0; j < dims(); ++j) {
-    double gap = 0.0;
-    if (other.min_[j] > max_[j]) {
-      gap = other.min_[j] - max_[j];
-    } else if (min_[j] > other.max_[j]) {
-      gap = min_[j] - other.max_[j];
-    }
-    const double u = gap * inv_bw[j];
-    z += u * u;
-  }
-  return z;
-}
-
-double BoundingBox::MaxScaledSquaredDistanceToBox(
-    const BoundingBox& other, std::span<const double> inv_bw) const {
-  TKDC_DCHECK(other.dims() == dims());
-  double z = 0.0;
-  for (size_t j = 0; j < dims(); ++j) {
-    // Farthest pair per axis: one interval's low end against the other's
-    // high end, whichever spread is larger.
-    const double gap =
-        std::max(max_[j] - other.min_[j], other.max_[j] - min_[j]);
-    const double u = gap * inv_bw[j];
-    z += u * u;
-  }
-  return z;
-}
-
 size_t BoundingBox::WidestAxis() const {
   size_t best = 0;
   double best_extent = -std::numeric_limits<double>::infinity();

@@ -43,17 +43,6 @@ class BoundingBox {
   double MaxScaledSquaredDistance(std::span<const double> x,
                                   std::span<const double> inv_bw) const;
 
-  /// Smallest scaled squared distance between any point of this box and
-  /// any point of `other` (0 when they overlap). Used by the dual-tree
-  /// batch classifier to bound contributions for whole query nodes.
-  double MinScaledSquaredDistanceToBox(const BoundingBox& other,
-                                       std::span<const double> inv_bw) const;
-
-  /// Largest scaled squared distance between any point of this box and any
-  /// point of `other`.
-  double MaxScaledSquaredDistanceToBox(const BoundingBox& other,
-                                       std::span<const double> inv_bw) const;
-
   /// Box extent along `axis`.
   double Extent(size_t axis) const { return max_[axis] - min_[axis]; }
 

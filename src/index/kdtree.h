@@ -48,15 +48,6 @@ class KdTree : public SpatialIndex {
     *z_max = b.MaxScaledSquaredDistance(x, inv_bw);
   }
 
-  void NodeScaledSquaredDistanceBoundsToBox(
-      size_t node_index, const BoundingBox& query_box,
-      std::span<const double> inv_bw, double* z_min,
-      double* z_max) const override {
-    const BoundingBox& b = boxes_[node_index];
-    *z_min = b.MinScaledSquaredDistanceToBox(query_box, inv_bw);
-    *z_max = b.MaxScaledSquaredDistanceToBox(query_box, inv_bw);
-  }
-
   /// Both children's Eq. 6 box bounds in one vectorized pass (one lane per
   /// bound, dimensions sequential — bit-identical to two single-node
   /// calls; see common/simd.h).

@@ -159,12 +159,6 @@ class SpatialIndex {
                                                double* z_min,
                                                double* z_max) const = 0;
 
-  /// Box-query variant: bounds valid for *every* query point inside
-  /// `query_box` simultaneously (the dual-tree building block).
-  virtual void NodeScaledSquaredDistanceBoundsToBox(
-      size_t node_index, const BoundingBox& query_box,
-      std::span<const double> inv_bw, double* z_min, double* z_max) const = 0;
-
   /// Eq. 6 bounds for *both children* of internal node `node_index` in one
   /// call: out = {left z_min, left z_max, right z_min, right z_max}. The
   /// best-first traversal always expands both children together, so

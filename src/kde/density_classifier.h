@@ -232,14 +232,6 @@ class DensityClassifier {
            (live_context_ ? live_context_->grid_prunes : 0);
   }
 
-  /// Folds externally accumulated counters into the live context. Used by
-  /// drivers that run the engine through their own contexts (e.g. the
-  /// dual-tree classifier) so this classifier's cumulative accounting
-  /// still reflects that work.
-  void AbsorbCounters(const QueryContext& ctx) {
-    live_context().MergeCounters(ctx);
-  }
-
   // --- Observability (common/metrics.h) ---------------------------------
 
   /// Attaches a metrics registry: registers the standard query-path schema

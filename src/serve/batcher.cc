@@ -75,7 +75,7 @@ MicroBatcher::MicroBatcher(const BatcherOptions& options,
     batch_size_id_ = registry_->AddHistogram(
         metric_names::kBatchSize, MetricsRegistry::PowerOfTwoBounds(12));
     queue_wait_us_id_ = registry_->AddHistogram(
-        metric_names::kQueueWaitUs, MetricsRegistry::DecadeBounds(0, 7));
+        metric_names::kQueueWaitUs, MetricsRegistry::OneTwoFiveBounds(0, 7));
     shard_ = registry_->NewShard();
   }
 }

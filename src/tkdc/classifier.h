@@ -149,10 +149,6 @@ class TkdcClassifier : public DensityClassifier {
                CoresetInfo coreset = CoresetInfo());
 
  private:
-  // The dual-tree batch classifier reuses this classifier's engine,
-  // threshold, and self-contribution.
-  friend class DualTreeClassifier;
-
   /// Computes Dx for all training rows under bounds [lo, hi], fanning rows
   /// across the executor and folding worker counters into `sink`.
   std::vector<double> ComputeTrainingDensities(const Dataset& data, double lo,

@@ -65,118 +65,6 @@ TraversalQueueEntry DensityBoundEvaluator::MakeEntry(
   return entry;
 }
 
-TraversalQueueEntry DensityBoundEvaluator::MakeBoxEntry(
-    TreeQueryContext& ctx, const BoundingBox& query_box,
-    uint32_t node_index) const {
-  const IndexNode& node = tree_->node(node_index);
-  const auto inv_bw = std::span<const double>(kernel_->inverse_bandwidths());
-  double z_min = 0.0;
-  double z_max = 0.0;
-  tree_->NodeScaledSquaredDistanceBoundsToBox(node_index, query_box, inv_bw,
-                                              &z_min, &z_max);
-  const double weight = static_cast<double>(node.count()) * inv_n_;
-  TraversalQueueEntry entry;
-  entry.node = node_index;
-  entry.max_contribution = weight * profile_(z_min, norm_);
-  entry.min_contribution = weight * profile_(z_max, norm_);
-  entry.priority = entry.max_contribution - entry.min_contribution;
-  ctx.stats.kernel_evaluations += 2;
-  return entry;
-}
-
-DensityBounds DensityBoundEvaluator::BoundDensityForBox(
-    TreeQueryContext& ctx, const BoundingBox& query_box, double t_lo,
-    double t_hi, double tolerance, int64_t max_expansions,
-    std::vector<uint32_t>* frontier) const {
-  TKDC_DCHECK(query_box.dims() == tree_->dims());
-  ++ctx.stats.queries;
-  auto& queue = ctx.queue;
-  queue.clear();
-
-  // Seed the queue from the inherited frontier (or the root). Reference
-  // leaves are atomic for box queries: their entries carry priority 0 so
-  // they sink to the bottom and are never expanded.
-  double f_lo = 0.0;
-  double f_hi = 0.0;
-  auto seed = [&](uint32_t node_index) {
-    TraversalQueueEntry entry = MakeBoxEntry(ctx, query_box, node_index);
-    if (tree_->node(node_index).is_leaf()) entry.priority = 0.0;
-    f_lo += entry.min_contribution;
-    f_hi += entry.max_contribution;
-    queue.push_back(entry);
-  };
-  if (frontier == nullptr || frontier->empty()) {
-    seed(static_cast<uint32_t>(SpatialIndex::kRoot));
-  } else {
-    for (uint32_t node_index : *frontier) seed(node_index);
-  }
-  std::make_heap(queue.begin(), queue.end());
-
-  const double eps = eps_traversal_;
-  const double high_cut = t_hi * (1.0 + eps);
-  const double low_cut = t_lo * (1.0 - eps);
-  if (tolerance < 0.0) tolerance = eps * t_lo;
-
-  // "Only atomic leaves left" is the box analogue of an exhausted tree:
-  // the frontier sits at the finest granularity a box probe resolves.
-  ctx.last_cutoff = CutoffReason::kExactLeaf;
-  while (!queue.empty()) {
-    if (config_->use_threshold_rule && f_lo > high_cut) {
-      ctx.last_cutoff = CutoffReason::kLowerAboveThreshold;
-      break;
-    }
-    if (config_->use_threshold_rule && f_hi < low_cut) {
-      ctx.last_cutoff = CutoffReason::kUpperBelowThreshold;
-      break;
-    }
-    if (config_->use_tolerance_rule && f_hi - f_lo < tolerance) {
-      ctx.last_cutoff = CutoffReason::kTolerance;
-      break;
-    }
-    if (queue.front().priority <= 0.0) break;  // Only atomic leaves left.
-    if (max_expansions >= 0 && max_expansions-- == 0) {
-      ctx.last_cutoff = CutoffReason::kExpansionBudget;
-      break;
-    }
-
-    std::pop_heap(queue.begin(), queue.end());
-    const TraversalQueueEntry current = queue.back();
-    queue.pop_back();
-    ++ctx.stats.nodes_expanded;
-
-    f_lo -= current.min_contribution;
-    f_hi -= current.max_contribution;
-
-    const IndexNode& node = tree_->node(current.node);
-    TKDC_DCHECK(!node.is_leaf());
-    const double inv_parent_count = 1.0 / static_cast<double>(node.count());
-    for (int32_t child : {node.left, node.right}) {
-      TraversalQueueEntry entry =
-          MakeBoxEntry(ctx, query_box, static_cast<uint32_t>(child));
-      const IndexNode& child_node = tree_->node(static_cast<size_t>(child));
-      ClampByParent(entry, current,
-                    static_cast<double>(child_node.count()) *
-                        inv_parent_count);
-      if (child_node.is_leaf()) entry.priority = 0.0;
-      f_lo += entry.min_contribution;
-      f_hi += entry.max_contribution;
-      queue.push_back(entry);
-      std::push_heap(queue.begin(), queue.end());
-    }
-  }
-
-  if (frontier != nullptr) {
-    frontier->clear();
-    frontier->reserve(queue.size());
-    for (const TraversalQueueEntry& entry : queue) {
-      frontier->push_back(entry.node);
-    }
-  }
-  if (f_lo < 0.0) f_lo = 0.0;
-  if (f_hi < f_lo) f_hi = f_lo;
-  return DensityBounds{f_lo, f_hi};
-}
-
 DensityBounds DensityBoundEvaluator::BoundDensity(TreeQueryContext& ctx,
                                                   std::span<const double> x,
                                                   double t_lo, double t_hi,
@@ -223,32 +111,6 @@ DensityBounds DensityBoundEvaluator::BoundDensityAffine(
   if (g_lo < 0.0) g_lo = 0.0;
   if (g_hi < g_lo) g_hi = g_lo;
   return DensityBounds{g_lo, g_hi};
-}
-
-DensityBounds DensityBoundEvaluator::BoundDensityFromFrontier(
-    TreeQueryContext& ctx, std::span<const double> x, double t_lo, double t_hi,
-    double tolerance, const std::vector<uint32_t>& frontier) const {
-  TKDC_DCHECK(x.size() == tree_->dims());
-  ++ctx.stats.queries;
-  ctx.queue.clear();
-  double f_lo = 0.0;
-  double f_hi = 0.0;
-  if (frontier.empty()) {
-    TraversalQueueEntry root =
-        MakeEntry(ctx, x, static_cast<uint32_t>(SpatialIndex::kRoot));
-    f_lo = root.min_contribution;
-    f_hi = root.max_contribution;
-    ctx.queue.push_back(root);
-  } else {
-    for (uint32_t node_index : frontier) {
-      TraversalQueueEntry entry = MakeEntry(ctx, x, node_index);
-      f_lo += entry.min_contribution;
-      f_hi += entry.max_contribution;
-      ctx.queue.push_back(entry);
-    }
-    std::make_heap(ctx.queue.begin(), ctx.queue.end());
-  }
-  return RunPointTraversal(ctx, x, t_lo, t_hi, tolerance, f_lo, f_hi);
 }
 
 void DensityBoundEvaluator::ExpandTop(TreeQueryContext& ctx,

@@ -20,8 +20,8 @@ inline constexpr double kFastMathLeafShare = 1e-12;
 ///   total = traversal + coreset + fast_math
 ///
 ///   - traversal: the Eq. 8/9 pruning band — tolerance cutoffs, threshold
-///     cutoffs, the bootstrap's refinement target, the multi-class
-///     survivor split, and the dual-tree box rules all draw on this share.
+///     cutoffs, the bootstrap's refinement target and the multi-class
+///     survivor split all draw on this share.
 ///   - coreset:   absorbed by epsilon-coreset model compression
 ///     (kde/coreset.h): the compressed KDE deviates from the exact one by
 ///     at most coreset * max(f, t) near the threshold, so classification

@@ -22,6 +22,8 @@ namespace tkdc {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'K', 'D', 'C'};
+// Magic, then the uint32 format version; the checksummed payload follows.
+constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint32_t);
 
 // Algorithm tags stored in version-2 files. Stable on-disk values: never
 // renumber, only append.
@@ -95,10 +97,12 @@ class Reader {
   bool U32(uint32_t* v) { return Bytes(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Bytes(v, sizeof(*v)); }
   bool F64(double* v) { return Bytes(v, sizeof(*v)); }
-  bool DoubleVec(std::vector<double>* v, uint64_t max_size) {
-    uint64_t size = 0;
-    if (!U64(&size)) return false;
-    if (size > max_size) return false;  // Corrupt size field.
+  // Every serialized vector has a length the reader already knows (from
+  // the shape header or the index topology), so a stored size other than
+  // `size` is corruption.
+  bool DoubleVec(std::vector<double>* v, uint64_t size) {
+    uint64_t stored = 0;
+    if (!U64(&stored) || stored != size) return false;
     v->resize(size);
     if (size == 0) return true;
     return Bytes(v->data(), size * sizeof(double));
@@ -203,6 +207,42 @@ bool ValidBandwidths(const std::vector<double>& bandwidths) {
   return true;
 }
 
+// Magic and format-version check shared by the loaders and ProbeModelKind;
+// `header` holds kHeaderSize bytes.
+bool CheckHeader(const char* header, const std::string& path,
+                 uint32_t* version, std::string* error) {
+  if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
+    *error = path + ": not a tkdc model file";
+    return false;
+  }
+  std::memcpy(version, header + sizeof(kMagic), sizeof(*version));
+  if (*version < 1 || *version > kModelFormatVersion) {
+    *error = path + ": unsupported model format version";
+    return false;
+  }
+  return true;
+}
+
+// The (dims, n) shape header every section carries, bounds-checked before
+// any size derived from it is allocated. The product test divides so a
+// corrupt pair cannot overflow past the cap.
+bool ReadShape(Reader& r, const std::string& path, uint64_t* dims,
+               uint64_t* n, std::string* error) {
+  if (!r.U64(dims) || !r.U64(n)) {
+    *error = path + ": truncated model body";
+    return false;
+  }
+  if (*dims == 0 || *n < 2) {
+    *error = path + ": corrupt shape header";
+    return false;
+  }
+  if (*n > kMaxElements || *dims > kMaxElements / *n) {
+    *error = path + ": implausible model dimensions";
+    return false;
+  }
+  return true;
+}
+
 // Shared trailer of every section: the raw training values. The shape
 // (dims, n) is read by the caller beforehand so sizes can be validated.
 // Non-finite coordinates are rejected here, before they can reach an index
@@ -210,9 +250,7 @@ bool ValidBandwidths(const std::vector<double>& bandwidths) {
 // the partition invariants rather than fail loudly).
 bool ReadValues(Reader& r, uint64_t dims, uint64_t n,
                 std::vector<double>* values) {
-  if (!r.DoubleVec(values, dims * n) || values->size() != dims * n) {
-    return false;
-  }
+  if (!r.DoubleVec(values, dims * n)) return false;
   for (double v : *values) {
     if (!std::isfinite(v)) return false;
   }
@@ -404,7 +442,7 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
     case IndexBackend::kKdTree: {
       std::vector<double> geometry;
       if (!r.DoubleVec(&geometry, 2 * dims * num_nodes) ||
-          geometry.size() != 2 * dims * num_nodes || !FiniteVec(geometry)) {
+          !FiniteVec(geometry)) {
         *why = "truncated or corrupt k-d box geometry";
         return nullptr;
       }
@@ -431,11 +469,8 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
     case IndexBackend::kBallTree: {
       std::vector<double> centroids, radii, radii_min, scale;
       if (!r.DoubleVec(&centroids, dims * num_nodes) ||
-          centroids.size() != dims * num_nodes || !FiniteVec(centroids) ||
-          !r.DoubleVec(&radii, num_nodes) || radii.size() != num_nodes ||
-          !r.DoubleVec(&radii_min, num_nodes) ||
-          radii_min.size() != num_nodes ||
-          !r.DoubleVec(&scale, dims) || scale.size() != dims) {
+          !FiniteVec(centroids) || !r.DoubleVec(&radii, num_nodes) ||
+          !r.DoubleVec(&radii_min, num_nodes) || !r.DoubleVec(&scale, dims)) {
         *why = "truncated or corrupt ball geometry";
         return nullptr;
       }
@@ -482,6 +517,31 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
     }
   }
   return index;
+}
+
+// The index section of a tree-backed model. Files older than version 3
+// carry none: `*index` stays null and the classifier rebuilds it on
+// restore. With `check_backend` the section's backend must be the one
+// `options` names — tkdc and rkde record it in their config block — while
+// knn simply adopts the stored backend.
+bool ReadIndex(Reader& r, uint32_t version, const Dataset& data,
+               IndexOptions options, bool check_backend,
+               const std::string& path,
+               std::unique_ptr<const SpatialIndex>* index,
+               std::string* error) {
+  if (version < 3) return true;
+  const IndexBackend configured = options.backend;
+  std::string why;
+  *index = ReadIndexSection(r, version, data, std::move(options), &why);
+  if (*index == nullptr) {
+    *error = path + ": " + why;
+    return false;
+  }
+  if (check_backend && (*index)->backend() != configured) {
+    *error = path + ": index section backend contradicts config";
+    return false;
+  }
+  return true;
 }
 
 uint32_t TagFor(const DensityClassifier& classifier) {
@@ -543,27 +603,19 @@ std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, uint32_t version,
     return nullptr;
   }
   uint64_t dims = 0, n = 0;
-  if (!r.U64(&dims) || !r.U64(&n) || dims == 0 || n < 2) {
-    *error = path + ": corrupt shape header";
-    return nullptr;
-  }
-  if (dims > kMaxElements || n > kMaxElements || dims * n > kMaxElements) {
-    *error = path + ": implausible model dimensions";
-    return nullptr;
-  }
+  if (!ReadShape(r, path, &dims, &n, error)) return nullptr;
   std::vector<double> bandwidths;
   double threshold_lower = 0, threshold_upper = 0, threshold = 0;
   uint8_t has_densities = 0;
   std::vector<double> densities;
   std::vector<double> values;
-  if (!r.DoubleVec(&bandwidths, dims) || bandwidths.size() != dims ||
-      !r.F64(&threshold_lower) || !r.F64(&threshold_upper) ||
-      !r.F64(&threshold) || !r.U8(&has_densities)) {
+  if (!r.DoubleVec(&bandwidths, dims) || !r.F64(&threshold_lower) ||
+      !r.F64(&threshold_upper) || !r.F64(&threshold) ||
+      !r.U8(&has_densities)) {
     *error = path + ": truncated model body";
     return nullptr;
   }
-  if (has_densities != 0 &&
-      (!r.DoubleVec(&densities, n) || densities.size() != n)) {
+  if (has_densities != 0 && !r.DoubleVec(&densities, n)) {
     *error = path + ": truncated density block";
     return nullptr;
   }
@@ -577,17 +629,9 @@ std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, uint32_t version,
   }
   Dataset data(dims, std::move(values));
   std::unique_ptr<const SpatialIndex> index;
-  if (version >= 3) {
-    std::string why;
-    index = ReadIndexSection(r, version, data, config.MakeIndexOptions(), &why);
-    if (index == nullptr) {
-      *error = path + ": " + why;
-      return nullptr;
-    }
-    if (index->backend() != config.index_backend) {
-      *error = path + ": index section backend contradicts config";
-      return nullptr;
-    }
+  if (!ReadIndex(r, version, data, config.MakeIndexOptions(),
+                 /*check_backend=*/true, path, &index, error)) {
+    return nullptr;
   }
   CoresetInfo coreset;
   if (version >= 6) {
@@ -728,19 +772,18 @@ std::unique_ptr<DensityClassifier> ReadSimpleSection(Reader& r,
   uint64_t dims = 0, n = 0;
   std::vector<double> bandwidths, values;
   double threshold = 0;
-  if (!r.F64(&options.p) || !r.U32(&kernel) || !r.U64(&dims) || !r.U64(&n)) {
+  if (!r.F64(&options.p) || !r.U32(&kernel)) {
     *error = path + ": truncated model body";
     return nullptr;
   }
-  if (!ValidRate(options.p) || kernel > 3 || dims == 0 || n < 2 ||
-      dims > kMaxElements || n > kMaxElements || dims * n > kMaxElements) {
+  if (!ReadShape(r, path, &dims, &n, error)) return nullptr;
+  if (!ValidRate(options.p) || kernel > 3) {
     *error = path + ": corrupt simple-kde section";
     return nullptr;
   }
   options.kernel = static_cast<KernelType>(kernel);
-  if (!r.DoubleVec(&bandwidths, dims) || bandwidths.size() != dims ||
-      !r.F64(&threshold) || !ReadValues(r, dims, n, &values) ||
-      !ValidBandwidths(bandwidths)) {
+  if (!r.DoubleVec(&bandwidths, dims) || !r.F64(&threshold) ||
+      !ReadValues(r, dims, n, &values) || !ValidBandwidths(bandwidths)) {
     *error = path + ": truncated or corrupt simple-kde section";
     return nullptr;
   }
@@ -775,32 +818,18 @@ std::unique_ptr<DensityClassifier> ReadRkdeSection(Reader& r, uint32_t version,
   uint64_t dims = 0, n = 0;
   std::vector<double> bandwidths, values;
   double radius_sq = 0, threshold = 0;
-  if (!r.U64(&dims) || !r.U64(&n) || dims == 0 || n < 2 ||
-      dims > kMaxElements || n > kMaxElements || dims * n > kMaxElements) {
-    *error = path + ": corrupt shape header";
-    return nullptr;
-  }
-  if (!r.DoubleVec(&bandwidths, dims) || bandwidths.size() != dims ||
-      !r.F64(&radius_sq) || !r.F64(&threshold) ||
-      !ReadValues(r, dims, n, &values) || !ValidBandwidths(bandwidths) ||
-      !(radius_sq > 0.0)) {
+  if (!ReadShape(r, path, &dims, &n, error)) return nullptr;
+  if (!r.DoubleVec(&bandwidths, dims) || !r.F64(&radius_sq) ||
+      !r.F64(&threshold) || !ReadValues(r, dims, n, &values) ||
+      !ValidBandwidths(bandwidths) || !(radius_sq > 0.0)) {
     *error = path + ": truncated or corrupt rkde section";
     return nullptr;
   }
   Dataset data(dims, std::move(values));
   std::unique_ptr<const SpatialIndex> index;
-  if (version >= 3) {
-    std::string why;
-    index =
-        ReadIndexSection(r, version, data, options.base.MakeIndexOptions(), &why);
-    if (index == nullptr) {
-      *error = path + ": " + why;
-      return nullptr;
-    }
-    if (index->backend() != options.base.index_backend) {
-      *error = path + ": index section backend contradicts config";
-      return nullptr;
-    }
+  if (!ReadIndex(r, version, data, options.base.MakeIndexOptions(),
+                 /*check_backend=*/true, path, &index, error)) {
+    return nullptr;
   }
   auto classifier = std::make_unique<RkdeClassifier>(options);
   classifier->Restore(data, bandwidths, radius_sq, threshold,
@@ -831,21 +860,20 @@ std::unique_ptr<DensityClassifier> ReadBinnedSection(Reader& r,
   std::vector<double> bandwidths, values;
   double threshold = 0;
   if (!r.F64(&options.p) || !r.U32(&kernel) || !r.U64(&grid_size_override) ||
-      !r.F64(&options.truncation_radius) || !r.U64(&dims) || !r.U64(&n)) {
+      !r.F64(&options.truncation_radius)) {
     *error = path + ": truncated model body";
     return nullptr;
   }
+  if (!ReadShape(r, path, &dims, &n, error)) return nullptr;
   if (!ValidRate(options.p) || kernel > 3 ||
-      !(options.truncation_radius > 0.0) || dims == 0 || dims > 4 || n < 2 ||
-      n > kMaxElements || dims * n > kMaxElements) {
+      !(options.truncation_radius > 0.0) || dims > 4) {
     *error = path + ": corrupt binned-kde section";
     return nullptr;
   }
   options.kernel = static_cast<KernelType>(kernel);
   options.grid_size_override = grid_size_override;
-  if (!r.DoubleVec(&bandwidths, dims) || bandwidths.size() != dims ||
-      !r.F64(&threshold) || !ReadValues(r, dims, n, &values) ||
-      !ValidBandwidths(bandwidths)) {
+  if (!r.DoubleVec(&bandwidths, dims) || !r.F64(&threshold) ||
+      !ReadValues(r, dims, n, &values) || !ValidBandwidths(bandwidths)) {
     *error = path + ": truncated or corrupt binned-kde section";
     return nullptr;
   }
@@ -875,74 +903,90 @@ std::unique_ptr<DensityClassifier> ReadKnnSection(Reader& r, uint32_t version,
   uint64_t dims = 0, n = 0;
   std::vector<double> values;
   double threshold = 0;
-  if (!r.F64(&options.p) || !r.U64(&k) || !r.U64(&leaf_size) ||
-      !r.U64(&dims) || !r.U64(&n) || !r.F64(&threshold)) {
+  if (!r.F64(&options.p) || !r.U64(&k) || !r.U64(&leaf_size)) {
     *error = path + ": truncated model body";
     return nullptr;
   }
-  if (!ValidRate(options.p) || k == 0 || leaf_size == 0 || dims == 0 ||
-      n < 2 || dims > kMaxElements || n > kMaxElements ||
-      dims * n > kMaxElements) {
+  if (!ReadShape(r, path, &dims, &n, error)) return nullptr;
+  if (!ValidRate(options.p) || k == 0 || leaf_size == 0) {
     *error = path + ": corrupt knn section";
     return nullptr;
   }
   options.k = k;
   options.leaf_size = leaf_size;
-  if (!ReadValues(r, dims, n, &values)) {
+  if (!r.F64(&threshold) || !ReadValues(r, dims, n, &values)) {
     *error = path + ": truncated data block";
     return nullptr;
   }
   Dataset data(dims, std::move(values));
   std::unique_ptr<const SpatialIndex> index;
-  if (version >= 3) {
-    IndexOptions index_options;
-    index_options.leaf_size = options.leaf_size;
-    std::string why;
-    index = ReadIndexSection(r, version, data, std::move(index_options), &why);
-    if (index == nullptr) {
-      *error = path + ": " + why;
-      return nullptr;
-    }
-    options.index_backend = index->backend();
+  IndexOptions index_options;
+  index_options.leaf_size = options.leaf_size;
+  if (!ReadIndex(r, version, data, std::move(index_options),
+                 /*check_backend=*/false, path, &index, error)) {
+    return nullptr;
   }
+  if (index != nullptr) options.index_backend = index->backend();
   auto classifier = std::make_unique<KnnClassifier>(options);
   classifier->Restore(data, threshold, std::move(index));
   return classifier;
 }
 
-// Shared front half of every load path: slurps the file, validates magic
-// and version, and verifies the checksum over the whole payload BEFORE a
-// single field is parsed — a flipped byte must never reach the model
-// builders (where, say, a corrupted coordinate would fail an index-build
-// invariant instead of producing a clean load error). On success fills the
-// payload bytes, the format version, and the stored checksum (which the
-// section parsers re-derive as their consumed-everything witness).
-bool LoadVerifiedPayload(const std::string& path, std::string* payload,
-                         uint32_t* version, uint64_t* stored_checksum,
-                         std::string* error) {
+// The one save shell: magic and format version, then the checksummed
+// payload — the algorithm tag and whatever section `write_section` emits —
+// then the FNV-1a trailer. `write_section` returns false (with `*error`
+// set) to abandon the save.
+template <typename WriteSection>
+bool WriteModelFile(const std::string& path, uint32_t tag, std::string* error,
+                    WriteSection&& write_section) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    *error = "cannot open " + path + " for writing";
+    return false;
+  }
+  out.write(kMagic, sizeof(kMagic));
+  const uint32_t version = kModelFormatVersion;
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+
+  Writer w(out);
+  w.U32(tag);
+  if (!write_section(w)) return false;
+  const uint64_t checksum = w.checksum();
+  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  out.flush();
+  if (!out) {
+    *error = "write to " + path + " failed";
+    return false;
+  }
+  return true;
+}
+
+// The one load shell: slurps the file, checks magic and version, and
+// verifies the checksum over the whole payload BEFORE a single field is
+// parsed — a flipped byte must never reach the model builders (where, say,
+// a corrupted coordinate would fail an index-build invariant instead of
+// producing a clean load error). Then reads the algorithm tag, hands the
+// reader to `read_section(reader, version, tag)`, and demands that the
+// section consumed the payload exactly.
+template <typename Model, typename ReadSection>
+std::unique_ptr<Model> LoadModelFile(const std::string& path,
+                                     std::string* error,
+                                     ReadSection&& read_section) {
+  TKDC_CHECK(error != nullptr);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     *error = "cannot open " + path;
-    return false;
+    return nullptr;
   }
-  std::string buffer((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-
-  constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint32_t);
+  const std::string buffer((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
   constexpr size_t kTrailerSize = sizeof(uint64_t);
   if (buffer.size() < kHeaderSize + kTrailerSize) {
     *error = path + ": truncated model file";
-    return false;
+    return nullptr;
   }
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
-    *error = path + ": not a tkdc model file";
-    return false;
-  }
-  std::memcpy(version, buffer.data() + sizeof(kMagic), sizeof(*version));
-  if (*version < 1 || *version > kModelFormatVersion) {
-    *error = path + ": unsupported model format version";
-    return false;
-  }
+  uint32_t version = 0;
+  if (!CheckHeader(buffer.data(), path, &version, error)) return nullptr;
 
   const size_t payload_size = buffer.size() - kHeaderSize - kTrailerSize;
   const unsigned char* bytes =
@@ -952,72 +996,32 @@ bool LoadVerifiedPayload(const std::string& path, std::string* payload,
     computed ^= bytes[i];
     computed *= 0x100000001b3ULL;
   }
-  std::memcpy(stored_checksum, buffer.data() + buffer.size() - kTrailerSize,
-              sizeof(*stored_checksum));
-  if (computed != *stored_checksum) {
-    *error = path + ": checksum mismatch (file corrupted)";
-    return false;
-  }
-  *payload = buffer.substr(kHeaderSize, payload_size);
-  return true;
-}
-
-std::unique_ptr<DensityClassifier> LoadImpl(const std::string& path,
-                                            std::string* error) {
-  TKDC_CHECK(error != nullptr);
-  std::string payload;
-  uint32_t version = 0;
   uint64_t stored_checksum = 0;
-  if (!LoadVerifiedPayload(path, &payload, &version, &stored_checksum,
-                           error)) {
+  std::memcpy(&stored_checksum, buffer.data() + buffer.size() - kTrailerSize,
+              sizeof(stored_checksum));
+  if (computed != stored_checksum) {
+    *error = path + ": checksum mismatch (file corrupted)";
     return nullptr;
   }
 
-  std::istringstream payload_in(std::move(payload));
+  std::istringstream payload_in(buffer.substr(kHeaderSize, payload_size));
   Reader r(payload_in);
   uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
   if (version >= 2 && !r.U32(&tag)) {
     *error = path + ": truncated algorithm tag";
     return nullptr;
   }
-  std::unique_ptr<DensityClassifier> classifier;
-  switch (tag) {
-    case kTagTkdc:
-      classifier = ReadTkdcSection(r, version, /*nocut=*/false, path, error);
-      break;
-    case kTagNocut:
-      classifier = ReadTkdcSection(r, version, /*nocut=*/true, path, error);
-      break;
-    case kTagSimple:
-      classifier = ReadSimpleSection(r, path, error);
-      break;
-    case kTagRkde:
-      classifier = ReadRkdeSection(r, version, path, error);
-      break;
-    case kTagBinned:
-      classifier = ReadBinnedSection(r, path, error);
-      break;
-    case kTagKnn:
-      classifier = ReadKnnSection(r, version, path, error);
-      break;
-    case kTagMultiClass:
-      *error = path +
-               ": holds a multi-class model (use LoadMultiClassModel)";
-      return nullptr;
-    default:
-      *error = path + ": unknown algorithm tag";
-      return nullptr;
-  }
-  if (classifier == nullptr) return nullptr;
+  std::unique_ptr<Model> model = read_section(r, version, tag);
+  if (model == nullptr) return nullptr;
 
-  // The section parser must consume the payload exactly; the streaming
-  // checksum doubles as the consumed-everything witness (it only matches
-  // the stored value if every payload byte passed through the Reader).
+  // The streaming checksum doubles as the consumed-everything witness: it
+  // only matches the stored value if every payload byte passed through the
+  // Reader.
   if (r.checksum() != stored_checksum) {
     *error = path + ": malformed model payload (trailing bytes)";
     return nullptr;
   }
-  return classifier;
+  return model;
 }
 
 }  // namespace
@@ -1039,86 +1043,70 @@ bool SaveModel(const std::string& path, const DensityClassifier& classifier,
     *error = "training_data does not match the classifier's model";
     return false;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out.write(kMagic, sizeof(kMagic));
-  const uint32_t version = kModelFormatVersion;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-
-  Writer w(out);
-  w.U32(tag);
-  switch (tag) {
-    case kTagTkdc:
-    case kTagNocut: {
-      const auto& c = dynamic_cast<const TkdcClassifier&>(classifier);
-      // A compressed model serializes its coreset, not the original rows
-      // the caller trained with: the index, grid, and SoA rebuild all
-      // derive from the coreset, and the original set is gone by design.
-      Dataset coreset(training_data.dims());
-      const Dataset* rows = &training_data;
-      if (c.coreset_info().enabled && training_data.size() != c.tree().size()) {
-        TKDC_CHECK(c.ExportTrainingData(&coreset));
-        rows = &coreset;
+  return WriteModelFile(path, tag, error, [&](Writer& w) {
+    switch (tag) {
+      case kTagTkdc:
+      case kTagNocut: {
+        const auto& c = dynamic_cast<const TkdcClassifier&>(classifier);
+        // A compressed model serializes its coreset, not the original rows
+        // the caller trained with: the index, grid, and SoA rebuild all
+        // derive from the coreset, and the original set is gone by design.
+        Dataset coreset(training_data.dims());
+        const Dataset* rows = &training_data;
+        if (c.coreset_info().enabled &&
+            training_data.size() != c.tree().size()) {
+          TKDC_CHECK(c.ExportTrainingData(&coreset));
+          rows = &coreset;
+        }
+        if (c.tree().size() != rows->size()) {
+          *error = "training_data does not match the classifier's index";
+          return false;
+        }
+        WriteTkdcSection(w, c, *rows, include_densities);
+        return true;
       }
-      if (c.tree().size() != rows->size()) {
-        *error = "training_data does not match the classifier's index";
+      case kTagSimple: {
+        const auto& c = dynamic_cast<const SimpleKdeClassifier&>(classifier);
+        if (c.training_data().size() != training_data.size()) {
+          *error = "training_data does not match the classifier's model";
+          return false;
+        }
+        WriteSimpleSection(w, c, training_data);
+        return true;
+      }
+      case kTagRkde: {
+        const auto& c = dynamic_cast<const RkdeClassifier&>(classifier);
+        if (c.model().tree->size() != training_data.size()) {
+          *error = "training_data does not match the classifier's index";
+          return false;
+        }
+        WriteRkdeSection(w, c, training_data);
+        return true;
+      }
+      case kTagBinned:
+        WriteBinnedSection(
+            w, dynamic_cast<const BinnedKdeClassifier&>(classifier),
+            training_data);
+        return true;
+      case kTagKnn: {
+        const auto& c = dynamic_cast<const KnnClassifier&>(classifier);
+        if (c.model().tree->size() != training_data.size()) {
+          *error = "training_data does not match the classifier's index";
+          return false;
+        }
+        WriteKnnSection(w, c, training_data);
+        return true;
+      }
+      default:
+        *error = "unsupported algorithm: " + classifier.name();
         return false;
-      }
-      WriteTkdcSection(w, c, *rows, include_densities);
-      break;
     }
-    case kTagSimple: {
-      const auto& c = dynamic_cast<const SimpleKdeClassifier&>(classifier);
-      if (c.training_data().size() != training_data.size()) {
-        *error = "training_data does not match the classifier's model";
-        return false;
-      }
-      WriteSimpleSection(w, c, training_data);
-      break;
-    }
-    case kTagRkde: {
-      const auto& c = dynamic_cast<const RkdeClassifier&>(classifier);
-      if (c.model().tree->size() != training_data.size()) {
-        *error = "training_data does not match the classifier's index";
-        return false;
-      }
-      WriteRkdeSection(w, c, training_data);
-      break;
-    }
-    case kTagBinned: {
-      WriteBinnedSection(w, dynamic_cast<const BinnedKdeClassifier&>(classifier),
-                         training_data);
-      break;
-    }
-    case kTagKnn: {
-      const auto& c = dynamic_cast<const KnnClassifier&>(classifier);
-      if (c.model().tree->size() != training_data.size()) {
-        *error = "training_data does not match the classifier's index";
-        return false;
-      }
-      WriteKnnSection(w, c, training_data);
-      break;
-    }
-    default:
-      *error = "unsupported algorithm: " + classifier.name();
-      return false;
-  }
-  const uint64_t checksum = w.checksum();
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.flush();
-  if (!out) {
-    *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  });
 }
 
 std::unique_ptr<TkdcClassifier> LoadModel(const std::string& path,
                                           std::string* error) {
-  std::unique_ptr<DensityClassifier> classifier = LoadImpl(path, error);
+  std::unique_ptr<DensityClassifier> classifier = LoadAnyModel(path, error);
   if (classifier == nullptr) return nullptr;
   auto* tkdc = dynamic_cast<TkdcClassifier*>(classifier.get());
   if (tkdc == nullptr) {
@@ -1132,7 +1120,32 @@ std::unique_ptr<TkdcClassifier> LoadModel(const std::string& path,
 
 std::unique_ptr<DensityClassifier> LoadAnyModel(const std::string& path,
                                                 std::string* error) {
-  return LoadImpl(path, error);
+  return LoadModelFile<DensityClassifier>(
+      path, error,
+      [&](Reader& r, uint32_t version,
+          uint32_t tag) -> std::unique_ptr<DensityClassifier> {
+        switch (tag) {
+          case kTagTkdc:
+            return ReadTkdcSection(r, version, /*nocut=*/false, path, error);
+          case kTagNocut:
+            return ReadTkdcSection(r, version, /*nocut=*/true, path, error);
+          case kTagSimple:
+            return ReadSimpleSection(r, path, error);
+          case kTagRkde:
+            return ReadRkdeSection(r, version, path, error);
+          case kTagBinned:
+            return ReadBinnedSection(r, path, error);
+          case kTagKnn:
+            return ReadKnnSection(r, version, path, error);
+          case kTagMultiClass:
+            *error = path +
+                     ": holds a multi-class model (use LoadMultiClassModel)";
+            return nullptr;
+          default:
+            *error = path + ": unknown algorithm tag";
+            return nullptr;
+        }
+      });
 }
 
 bool SaveMultiClassModel(const std::string& path,
@@ -1143,64 +1156,23 @@ bool SaveMultiClassModel(const std::string& path,
     *error = "classifier is not trained";
     return false;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out.write(kMagic, sizeof(kMagic));
-  const uint32_t version = kModelFormatVersion;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-
-  Writer w(out);
-  w.U32(kTagMultiClass);
-  if (!WriteMultiClassSection(w, classifier, include_densities, error)) {
-    return false;
-  }
-  const uint64_t checksum = w.checksum();
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.flush();
-  if (!out) {
-    *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return WriteModelFile(path, kTagMultiClass, error, [&](Writer& w) {
+    return WriteMultiClassSection(w, classifier, include_densities, error);
+  });
 }
 
 std::unique_ptr<MultiClassClassifier> LoadMultiClassModel(
     const std::string& path, std::string* error) {
-  TKDC_CHECK(error != nullptr);
-  std::string payload;
-  uint32_t version = 0;
-  uint64_t stored_checksum = 0;
-  if (!LoadVerifiedPayload(path, &payload, &version, &stored_checksum,
-                           error)) {
-    return nullptr;
-  }
-
-  std::istringstream payload_in(std::move(payload));
-  Reader r(payload_in);
-  uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
-  if (version >= 2 && !r.U32(&tag)) {
-    *error = path + ": truncated algorithm tag";
-    return nullptr;
-  }
-  if (tag != kTagMultiClass) {
-    *error = path + ": holds a single-class model (use LoadAnyModel)";
-    return nullptr;
-  }
-  std::unique_ptr<MultiClassClassifier> classifier =
-      ReadMultiClassSection(r, version, path, error);
-  if (classifier == nullptr) return nullptr;
-
-  // Same consumed-everything witness as LoadImpl: the streaming checksum
-  // only matches the stored value if every payload byte passed through
-  // the Reader.
-  if (r.checksum() != stored_checksum) {
-    *error = path + ": malformed model payload (trailing bytes)";
-    return nullptr;
-  }
-  return classifier;
+  return LoadModelFile<MultiClassClassifier>(
+      path, error,
+      [&](Reader& r, uint32_t version,
+          uint32_t tag) -> std::unique_ptr<MultiClassClassifier> {
+        if (tag != kTagMultiClass) {
+          *error = path + ": holds a single-class model (use LoadAnyModel)";
+          return nullptr;
+        }
+        return ReadMultiClassSection(r, version, path, error);
+      });
 }
 
 ModelKind ProbeModelKind(const std::string& path, std::string* error) {
@@ -1210,26 +1182,19 @@ ModelKind ProbeModelKind(const std::string& path, std::string* error) {
     *error = "cannot open " + path;
     return ModelKind::kInvalid;
   }
-  // Magic, version, and (version >= 2) the leading algorithm tag of the
-  // payload — enough to dispatch without reading the body.
-  char magic[sizeof(kMagic)] = {};
+  // The loaders' header check plus (version >= 2) the leading algorithm tag
+  // of the payload — enough to dispatch without reading the body.
+  char header[kHeaderSize + sizeof(uint32_t)] = {};
+  in.read(header, sizeof(header));
+  const auto got = static_cast<size_t>(in.gcount());
   uint32_t version = 0;
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    *error = path + ": not a tkdc model file";
-    return ModelKind::kInvalid;
-  }
-  if (!in.read(reinterpret_cast<char*>(&version), sizeof(version)) ||
-      version < 1 || version > kModelFormatVersion) {
-    *error = path + ": unsupported model format version";
-    return ModelKind::kInvalid;
-  }
-  uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
-  if (version >= 2 &&
-      !in.read(reinterpret_cast<char*>(&tag), sizeof(tag))) {
+  if (!CheckHeader(header, path, &version, error)) return ModelKind::kInvalid;
+  if (got < (version >= 2 ? sizeof(header) : kHeaderSize)) {
     *error = path + ": truncated model file";
     return ModelKind::kInvalid;
   }
+  uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
+  if (version >= 2) std::memcpy(&tag, header + kHeaderSize, sizeof(tag));
   return tag == kTagMultiClass ? ModelKind::kMultiClass
                                : ModelKind::kSingleClass;
 }

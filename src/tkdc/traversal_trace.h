@@ -21,7 +21,9 @@ enum class CutoffReason : uint8_t {
   /// The traversal exhausted the tree — every remaining node was expanded
   /// down to exact leaf sums, so the bounds are exact.
   kExactLeaf,
-  /// A box probe ran out of its expansion budget (dual-tree driver only).
+  /// A budgeted refinement (RefinePointBounds, used by the multi-class
+  /// round-robin) ran out of its expansion budget before the bounds were
+  /// exact.
   kExpansionBudget,
 };
 

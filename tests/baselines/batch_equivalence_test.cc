@@ -65,7 +65,10 @@ void ExpectStatsEqual(const TraversalStats& a, const TraversalStats& b,
   EXPECT_EQ(a.queries, b.queries) << what;
 }
 
-using BatchParam = std::tuple<const char*, IndexBackend>;
+// The algorithm name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, and that text becomes part of the
+// discovered ctest name, which then changes from build to build.
+using BatchParam = std::tuple<std::string, IndexBackend>;
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<BatchParam> {
  protected:
@@ -153,7 +156,7 @@ TEST_P(BatchEquivalenceTest, SetNumThreadsRepartitionsWithoutRetraining) {
 
 std::string BatchParamName(
     const ::testing::TestParamInfo<BatchParam>& info) {
-  return std::string(std::get<0>(info.param)) + "_" +
+  return std::get<0>(info.param) + "_" +
          IndexBackendName(std::get<1>(info.param));
 }
 

@@ -121,6 +121,30 @@ TEST(MetricsRegistry, BucketHelpers) {
   EXPECT_DOUBLE_EQ(decades[2], 10.0);
 }
 
+TEST(MetricsRegistry, OneTwoFiveBoundsResolveThreeStepsPerDecade) {
+  EXPECT_EQ(MetricsRegistry::OneTwoFiveBounds(0, 2),
+            (std::vector<double>{1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0}));
+  EXPECT_EQ(MetricsRegistry::OneTwoFiveBounds(3, 3),
+            (std::vector<double>{1000.0}));
+  // The serve queue-wait layout: 1 us to 1e7 us, strictly increasing, so
+  // a p50 of 200 us and one of 500 us land in different buckets.
+  const std::vector<double> wait = MetricsRegistry::OneTwoFiveBounds(0, 7);
+  ASSERT_EQ(wait.size(), 22u);
+  EXPECT_EQ(wait.front(), 1.0);
+  EXPECT_EQ(wait.back(), 1e7);
+  for (size_t i = 1; i < wait.size(); ++i) EXPECT_LT(wait[i - 1], wait[i]);
+  MetricsRegistry registry;
+  const size_t h = registry.AddHistogram("wait", wait);
+  std::unique_ptr<MetricsShard> shard = registry.NewShard();
+  shard->Observe(h, 150.0);
+  shard->Observe(h, 400.0);
+  registry.Absorb(*shard);
+  const auto snapshot = registry.HistogramValue("wait");
+  ASSERT_EQ(snapshot.buckets.size(), wait.size() + 1);
+  EXPECT_EQ(snapshot.buckets[7], 1u);  // (100, 200]
+  EXPECT_EQ(snapshot.buckets[8], 1u);  // (200, 500]
+}
+
 TEST(MetricsRegistry, WriteJsonEmitsCountersAndHistograms) {
   MetricsRegistry registry;
   registry.AddCounter("queries");

@@ -175,40 +175,6 @@ TEST(BallTreeBoundsTest, DistanceBoundsBracketEveryPoint) {
   }
 }
 
-// Box-query bounds must hold simultaneously for every query inside the
-// box (the dual-tree contract).
-TEST(BallTreeBoundsTest, BoxBoundsCoverEveryQueryInBox) {
-  Rng rng(9);
-  Dataset data = SampleStandardGaussian(400, 2, rng);
-  BallTree tree(data, SmallLeaves());
-  const std::vector<double> inv_bw{1.3, 0.7};
-  BoundingBox query_box(2);
-  query_box.Extend(std::vector<double>{-0.5, 0.25});
-  query_box.Extend(std::vector<double>{1.0, 1.75});
-  Rng probe(10);
-  for (size_t node_index = 0; node_index < tree.num_nodes(); ++node_index) {
-    const IndexNode& node = tree.node(node_index);
-    double z_min = 0.0, z_max = 0.0;
-    tree.NodeScaledSquaredDistanceBoundsToBox(node_index, query_box, inv_bw,
-                                              &z_min, &z_max);
-    for (int trial = 0; trial < 5; ++trial) {
-      std::vector<double> q{probe.Uniform(-0.5, 1.0),
-                            probe.Uniform(0.25, 1.75)};
-      for (size_t i = node.begin; i < node.end; ++i) {
-        const auto point = tree.Point(i);
-        double z = 0.0;
-        for (size_t j = 0; j < 2; ++j) {
-          const double u = (q[j] - point[j]) * inv_bw[j];
-          z += u * u;
-        }
-        const double slack = 1e-9 * (1.0 + z);
-        EXPECT_GE(z, z_min - slack) << "node " << node_index;
-        EXPECT_LE(z, z_max + slack) << "node " << node_index;
-      }
-    }
-  }
-}
-
 TEST(BallTreeRangeQueryTest, MatchesBruteForce) {
   Rng rng(11);
   Dataset data = SampleStandardGaussian(500, 2, rng);

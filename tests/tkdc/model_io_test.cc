@@ -281,6 +281,104 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AnyModelRoundTripTest,
                            return std::string(info.param);
                          });
 
+// Save -> load -> save must reproduce the model file byte for byte, for
+// every model kind the format holds: the loaders restore exactly what the
+// writers serialize, and nothing in a file depends on how the model was
+// obtained (trained or loaded). Parameter: "<kind>_<backend>", or just
+// "<kind>" for the index-free simple and binned models. "coreset" is tkdc
+// with epsilon-coreset compression (the v6 trailer's enabled branch), "mc"
+// the multi-class container.
+class ModelBytesRoundTripTest
+    : public ModelIoTest,
+      public ::testing::WithParamInterface<std::string> {
+ protected:
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
+  std::unique_ptr<DensityClassifier> MakeClassifier(const std::string& kind,
+                                                    IndexBackend backend) {
+    TkdcConfig config;
+    config.index_backend = backend;
+    if (kind == "tkdc") return std::make_unique<TkdcClassifier>(config);
+    if (kind == "coreset") {
+      config.epsilon = 0.8;
+      config.coreset_epsilon = 0.6;
+      return std::make_unique<TkdcClassifier>(config);
+    }
+    if (kind == "nocut") return std::make_unique<NocutClassifier>(config);
+    if (kind == "simple") return std::make_unique<SimpleKdeClassifier>();
+    if (kind == "binned") return std::make_unique<BinnedKdeClassifier>();
+    if (kind == "rkde") {
+      RkdeOptions options;
+      options.base = config;
+      options.threshold_sample = 300;
+      return std::make_unique<RkdeClassifier>(options);
+    }
+    KnnOptions options;
+    options.index_backend = backend;
+    options.threshold_sample = 300;
+    return std::make_unique<KnnClassifier>(options);
+  }
+};
+
+TEST_P(ModelBytesRoundTripTest, SaveLoadSaveIsByteIdentical) {
+  const std::string param = GetParam();
+  const std::string kind = param.substr(0, param.find('_'));
+  const IndexBackend backend = param.ends_with("_balltree")
+                                   ? IndexBackend::kBallTree
+                                   : IndexBackend::kKdTree;
+  const std::string first = TempPath("bytes_" + param + "_1.tkdc");
+  const std::string second = TempPath("bytes_" + param + "_2.tkdc");
+  std::string error;
+  if (kind == "mc") {
+    Rng rng(51);
+    std::vector<Dataset> parts;
+    parts.push_back(SampleStandardGaussian(300, 2, rng));
+    parts.push_back(SampleStandardGaussian(200, 2, rng));
+    TkdcConfig config;
+    config.index_backend = backend;
+    MultiClassClassifier original(config);
+    ASSERT_TRUE(original.TrainParts(parts, {"a", "b"}).ok());
+    ASSERT_TRUE(SaveMultiClassModel(first, original, true, &error)) << error;
+    auto loaded = LoadMultiClassModel(first, &error);
+    ASSERT_NE(loaded, nullptr) << error;
+    ASSERT_TRUE(SaveMultiClassModel(second, *loaded, true, &error)) << error;
+  } else {
+    // A coreset needs more rows before a halving fits its error share.
+    const Dataset data = TrainSet(52, kind == "coreset" ? 8000 : 600);
+    auto original = MakeClassifier(kind, backend);
+    original->Train(data);
+    if (kind == "coreset") {
+      ASSERT_TRUE(dynamic_cast<const TkdcClassifier&>(*original)
+                      .coreset_info()
+                      .enabled)
+          << "fixture must exercise a compressed model";
+    }
+    ASSERT_TRUE(SaveModel(first, *original, data, true, &error)) << error;
+    auto loaded = LoadAnyModel(first, &error);
+    ASSERT_NE(loaded, nullptr) << error;
+    ASSERT_TRUE(SaveModel(second, *loaded, data, true, &error)) << error;
+  }
+  const std::string bytes = ReadBytes(first);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == ReadBytes(second))
+      << param << ": the re-saved file differs from the original";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, ModelBytesRoundTripTest,
+    ::testing::Values("tkdc_kdtree", "nocut_kdtree", "coreset_kdtree",
+                      "simple", "rkde_kdtree", "binned", "knn_kdtree",
+                      "mc_kdtree", "tkdc_balltree", "nocut_balltree",
+                      "coreset_balltree", "rkde_balltree", "knn_balltree",
+                      "mc_balltree"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 TEST_F(ModelIoTest, GridCacheModelRoundTrips) {
   TkdcConfig config;
   config.use_grid = true;
@@ -543,6 +641,42 @@ TEST_F(ModelIoTest, LoadRejectsCorruptSoaDescriptor) {
   out.close();
   EXPECT_EQ(LoadModel(path, &error), nullptr);
   EXPECT_NE(error.find("SoA"), std::string::npos) << error;
+}
+
+TEST_F(ModelIoTest, LoadRejectsShapeWhoseProductOverflows) {
+  // dims = n = 2^32 passes a per-field cap, and dims * n wraps to 0 in
+  // 64 bits; the shape check must see the true product and refuse the
+  // shape before any size derived from it is used.
+  const Dataset data = TrainSet(49, 300);
+  TkdcClassifier original;
+  original.Train(data);
+  const std::string path = TempPath("shape_overflow.tkdc");
+  std::string error;
+  ASSERT_TRUE(SaveModel(path, original, data, false, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  in.close();
+  // Header (8) + tag (4) + the 128-byte version-6 config block.
+  constexpr size_t kDimsOffset = 8 + 4 + 128;
+  uint64_t dims = 0, n = 0;
+  std::memcpy(&dims, contents.data() + kDimsOffset, sizeof(dims));
+  std::memcpy(&n, contents.data() + kDimsOffset + 8, sizeof(n));
+  ASSERT_EQ(dims, 2u);  // Layout sanity check.
+  ASSERT_EQ(n, 300u);
+  const uint64_t huge = uint64_t{1} << 32;
+  std::memcpy(contents.data() + kDimsOffset, &huge, sizeof(huge));
+  std::memcpy(contents.data() + kDimsOffset + 8, &huge, sizeof(huge));
+  const uint64_t checksum =
+      Fnv1a(contents.substr(8, contents.size() - 8 - sizeof(uint64_t)));
+  std::memcpy(contents.data() + contents.size() - sizeof(uint64_t), &checksum,
+              sizeof(checksum));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  out.close();
+  EXPECT_EQ(LoadAnyModel(path, &error), nullptr);
+  EXPECT_NE(error.find("implausible model dimensions"), std::string::npos)
+      << error;
 }
 
 TEST_F(ModelIoTest, LoadedModelKeepsWorkingAfterOriginalDies) {
